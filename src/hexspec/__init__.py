@@ -21,7 +21,6 @@ from .jacobi import (
     build_Mq_nu,
     chambers_Gq,
     rational_spectrum,
-    spectrum_measure,
     theta_spectrum,
     transfer_D,
 )

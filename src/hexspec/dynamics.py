@@ -12,13 +12,10 @@ import numpy as np
 from .errors import DomainError
 from .flux import Flux, continued_fraction
 from .intervals import BandList
-from .jacobi import rational_spectrum
+from .jacobi import _d_product, _frobenius, rational_spectrum
 
 #: irrational offset of the theta grid, keeps it off the singular lattice
 THETA_OFFSET = 1.0 / math.sqrt(5.0)
-
-#: renormalize the running products every this many steps
-RENORM_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -67,28 +64,8 @@ def _le_average(lam: complex, alpha: float, eps: float, n: int, m: int) -> float
     the mean of log|c| over the circle is exactly zero.
     """
     theta = THETA_OFFSET + np.arange(m) / m + 1j * eps
-    # running product entries, shape (m,)
-    a = np.ones(m, dtype=complex)
-    b = np.zeros(m, dtype=complex)
-    c_ = np.zeros(m, dtype=complex)
-    d = np.ones(m, dtype=complex)
-    total = np.zeros(m)
-    two_pi_i = 2j * np.pi
-    for j in range(n):
-        th = theta + j * alpha
-        t = lam - 2.0 * np.cos(2.0 * np.pi * th)
-        u = -(1.0 + np.exp(two_pi_i * (th - alpha)))  # -cbar(theta - alpha)
-        w = 1.0 + np.exp(-two_pi_i * th)  # c(theta)
-        a, b, c_, d = t * a + u * c_, t * b + u * d, w * a, w * b
-        if (j + 1) % RENORM_EVERY == 0:
-            nrm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2
-                          + np.abs(c_) ** 2 + np.abs(d) ** 2)
-            nrm = np.maximum(nrm, 1e-300)
-            total += np.log(nrm)
-            a, b, c_, d = a / nrm, b / nrm, c_ / nrm, d / nrm
-    nrm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c_) ** 2
-                  + np.abs(d) ** 2)
-    total += np.log(np.maximum(nrm, 1e-300))
+    a, b, c, d, total = _d_product(lam, theta, alpha, n, renorm=True)
+    total += np.log(np.maximum(_frobenius(a, b, c, d), 1e-300))
     return float(np.mean(total)) / n
 
 

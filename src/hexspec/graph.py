@@ -47,18 +47,21 @@ class ButterflyDataset:
     n_hill_bands: int
 
 
-def _pullback_qbands(qs: QSpectrum, band: HillBand, invert) -> BandList:
-    """Map each Q-band inside [-1,1] through the inverse discriminant."""
-    out = []
-    for w1, w2 in qs.bands.intervals:
-        if w2 < -1.0 or w1 > 1.0:
-            continue
-        w1c, w2c = max(w1, -1.0), min(w2, 1.0)
-        l1, l2 = invert(w1c), invert(w2c)
-        if band.monotonicity == "decreasing":
-            l1, l2 = l2, l1
-        out.append((l1, l2))
-    return BandList.from_pairs(out)
+def _pullback(qspectra: list[QSpectrum], band: HillBand, inv) -> list[np.ndarray]:
+    """Pull the Q-bands of each spectrum back into one Hill band: clip them to
+    [-1, 1], invert every endpoint in one call to the band's inverter, and
+    return per spectrum its (lo, hi) rows in Q-band order."""
+    clipped = [
+        [(max(w1, -1.0), min(w2, 1.0))
+         for w1, w2 in qs.bands.intervals if not (w2 < -1.0 or w1 > 1.0)]
+        for qs in qspectra
+    ]
+    targets = np.array([w for pairs in clipped for pair in pairs for w in pair])
+    lams = inv(targets).reshape(-1, 2)
+    if band.monotonicity == "decreasing":
+        lams = lams[:, ::-1]
+    splits = np.cumsum([len(pairs) for pairs in clipped])[:-1]
+    return np.split(lams, splits)
 
 
 @lru_cache(maxsize=8)
@@ -84,7 +87,7 @@ def graph_spectrum(
     dir_arr = np.asarray(dir_all)
     out = []
     for k, (band, inv) in enumerate(zip(bands, inverters), start=1):
-        cont = _pullback_qbands(qs, band, lambda w: float(inv(w)[0]))
+        cont = BandList.from_pairs(_pullback([qs], band, inv)[0])
         edges = np.array([band.alpha, band.beta])
         dirs = tuple(
             float(e) for e in edges
@@ -126,26 +129,8 @@ def butterfly(
 
     rows = []
     for k, (band, inv) in enumerate(zip(bands, inverters), start=1):
-        # collect every clipped Q-band endpoint across all flux columns
-        slices, targets = [], []
-        for qs in qspectra:
-            pairs = [
-                (max(w1, -1.0), min(w2, 1.0))
-                for w1, w2 in qs.bands.intervals
-                if not (w2 < -1.0 or w1 > 1.0)
-            ]
-            slices.append(len(pairs))
-            for w1, w2 in pairs:
-                targets.extend((w1, w2))
-        lams = inv(np.asarray(targets))
-        pos = 0
-        for (p, q), count in zip(fracs, slices):
-            for _ in range(count):
-                l1, l2 = lams[pos], lams[pos + 1]
-                pos += 2
-                if band.monotonicity == "decreasing":
-                    l1, l2 = l2, l1
-                rows.append((p, q, k, float(l1), float(l2)))
+        for (p, q), pairs in zip(fracs, _pullback(qspectra, band, inv)):
+            rows.extend((p, q, k, float(lo), float(hi)) for lo, hi in pairs)
     rows.sort(key=lambda r: (r[1], r[0], r[2], r[3]))
     return ButterflyDataset(
         rows=tuple(rows),

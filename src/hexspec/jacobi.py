@@ -16,6 +16,9 @@ from .intervals import BandList
 #: tolerance for the theta in 1/2 + (1/q)Z membership test of build_Mq
 THETA_LATTICE_TOL = 1e-12
 
+#: renormalize long D-cocycle products every this many steps
+RENORM_EVERY = 8
+
 #: default Chambers evaluation angle is 1/(4q); see chambers_Gq
 
 
@@ -44,30 +47,49 @@ def transfer_D(lam: float, theta: float, flux: Flux) -> np.ndarray:
     )
 
 
+def _d_product(lam, theta, alpha: float, n: int, renorm: bool = False):
+    """Entries (a, b, c, d) and log scale of D_n(theta) = D(theta + (n-1) alpha)
+    ... D(theta), with lam and theta broadcast against each other.
+
+    The coupling is written as the analytic continuation
+    -cbar(theta - alpha) = -(1 + e^{2 pi i (theta - alpha)}), so theta may be
+    complex.  With renorm, the product is divided by its Frobenius norm every
+    RENORM_EVERY steps and the log scale sums the logs of those norms;
+    otherwise the log scale stays zero.
+    """
+    shape = np.broadcast_shapes(np.shape(lam), np.shape(theta))
+    a = np.ones(shape, dtype=complex)
+    b = np.zeros(shape, dtype=complex)
+    c = np.zeros(shape, dtype=complex)
+    d = np.ones(shape, dtype=complex)
+    log_scale = np.zeros(shape)
+    two_pi_i = 2j * np.pi
+    for j in range(n):
+        th = theta + j * alpha
+        t = lam - 2.0 * np.cos(2.0 * np.pi * th)
+        u = -(1.0 + np.exp(two_pi_i * (th - alpha)))
+        w = 1.0 + np.exp(-two_pi_i * th)
+        a, b, c, d = t * a + u * c, t * b + u * d, w * a, w * b
+        if renorm and (j + 1) % RENORM_EVERY == 0:
+            nrm = np.maximum(_frobenius(a, b, c, d), 1e-300)
+            log_scale += np.log(nrm)
+            a, b, c, d = a / nrm, b / nrm, c / nrm, d / nrm
+    return a, b, c, d, log_scale
+
+
+def _frobenius(a, b, c, d):
+    return np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2)
+
+
 def transfer_D_product(lam: float, theta: float, flux: Flux, n: int) -> np.ndarray:
     """D_n(theta) = D(theta + (n-1) alpha) ... D(theta + alpha) D(theta)."""
-    alpha = flux.alpha
-    out = np.eye(2, dtype=complex)
-    for j in range(n):
-        out = transfer_D(lam, theta + j * alpha, flux) @ out
-    return out
+    a, b, c, d, _ = _d_product(lam, theta, flux.alpha, n)
+    return np.array([[a, b], [c, d]], dtype=complex)
 
 
 def _trace_Dq(lam, theta: float, p: int, q: int):
-    """tr(D_q(theta)) for a batch of energies, computed as a scalar recursion
-    on the four matrix entries (vectorized over lam)."""
-    lam = np.asarray(lam, dtype=complex)
-    alpha = p / q
-    a = np.ones_like(lam)
-    b = np.zeros_like(lam)
-    c_ = np.zeros_like(lam)
-    d = np.ones_like(lam)
-    for j in range(q):
-        th = theta + j * alpha
-        t = lam - coeff_v(th)
-        u = -np.conj(coeff_c(th - alpha))
-        w = coeff_c(th)
-        a, b, c_, d = t * a + u * c_, t * b + u * d, w * a, w * b
+    """tr(D_q(theta)) for a batch of energies."""
+    a, _, _, d, _ = _d_product(np.asarray(lam, dtype=complex), theta, p / q, q)
     return a + d
 
 
@@ -135,17 +157,10 @@ def build_Mq_nu(theta: float, nu: float, p: int, q: int) -> np.ndarray:
     return M
 
 
-def _eigs_nu(theta: float, nu: float, p: int, q: int) -> np.ndarray:
-    return np.linalg.eigvalsh(build_Mq_nu(theta, nu, p, q))
-
-
 def theta_spectrum(p: int, q: int, theta: float) -> BandList:
     """Per-theta spectrum: q possibly-touching bands whose k-th endpoints are
     the k-th eigenvalues of the nu=1/2 and nu=0 periodic blocks."""
-    e_half = _eigs_nu(theta, 0.5, p, q)
-    e_zero = _eigs_nu(theta, 0.0, p, q)
-    los = np.minimum(e_half, e_zero)
-    his = np.maximum(e_half, e_zero)
+    los, his = _endpoint_arrays(p, q, theta)
     # interlacing: consecutive bands may touch but must not overlap
     overlap = his[:-1] - los[1:]
     if q > 1 and np.max(overlap) > 1e-9 * (1.0 + np.max(np.abs(his))):
@@ -179,11 +194,6 @@ def rational_spectrum(p: int, q: int) -> BandList:
 
 
 def _endpoint_arrays(p: int, q: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    e_half = _eigs_nu(theta, 0.5, p, q)
-    e_zero = _eigs_nu(theta, 0.0, p, q)
+    e_half = np.linalg.eigvalsh(build_Mq_nu(theta, 0.5, p, q))
+    e_zero = np.linalg.eigvalsh(build_Mq_nu(theta, 0.0, p, q))
     return np.minimum(e_half, e_zero), np.maximum(e_half, e_zero)
-
-
-def spectrum_measure(bands: BandList) -> float:
-    """Lebesgue measure of a band list (after merging touching intervals)."""
-    return bands.measure

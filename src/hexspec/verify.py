@@ -91,7 +91,10 @@ def _check_lidskii():
 
 
 def _check_trace_identity():
-    worst = 0.0
+    """|prod_j c(theta + j p/q)| = 2|sin pi q (theta + 1/2)| and
+    det D_q(theta) = |prod_j c(theta + j p/q)|^2; the determinant of the
+    product loses digits as ||D_q||^2 grows, hence its scaled tolerance."""
+    worst_prod = worst_det = 0.0
     rng = np.random.default_rng(SEED + 2)
     for _ in range(20):
         q = int(rng.integers(2, 15))
@@ -103,12 +106,13 @@ def _check_trace_identity():
         flux = Flux.rational(p, q)
         D = jacobi.transfer_D_product(lam, theta, flux, q)
         prod_c = np.prod([jacobi.coeff_c(theta + j * p / q) for j in range(q)])
-        tr_tilde = np.trace(D) / prod_c  # trace of the normalized cocycle
-        lhs = tr_tilde * 2.0 * abs(math.sin(math.pi * q * (theta + 0.5)))
-        rhs = np.trace(D) * 2.0 * abs(math.sin(math.pi * q * (theta + 0.5))) / abs(prod_c)
-        worst = max(worst, abs(abs(lhs) - abs(rhs)))
-        worst = max(worst, abs(abs(prod_c) - 2.0 * abs(math.sin(math.pi * q * (theta + 0.5)))))
-    return worst <= 1e-9, f"normalized-trace identity deviation {worst:.2e}"
+        env = 2.0 * abs(math.sin(math.pi * q * (theta + 0.5)))
+        worst_prod = max(worst_prod, abs(abs(prod_c) - env))
+        det_err = abs(np.linalg.det(D) - abs(prod_c) ** 2)
+        worst_det = max(worst_det, det_err / (1.0 + np.linalg.norm(D) ** 2))
+    ok = worst_prod <= 1e-9 and worst_det <= 1e-12
+    return ok, (f"|prod c| - 2|sin| deviation {worst_prod:.2e}, "
+                f"scaled det(D_q) - |prod c|^2 deviation {worst_det:.2e}")
 
 
 def _check_measure_decay():

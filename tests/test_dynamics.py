@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexspec.dynamics import (
+    THETA_OFFSET,
     CocycleConfig,
+    _le_average,
     acceleration,
     complexified_le,
     holder_probe,
@@ -14,7 +16,7 @@ from hexspec.dynamics import (
 )
 from hexspec.errors import DomainError
 from hexspec.flux import GOLDEN_MEAN, Flux, continued_fraction, golden_flux
-from hexspec.jacobi import coeff_c, rational_spectrum
+from hexspec.jacobi import coeff_c, rational_spectrum, transfer_D_product
 
 GOLD = golden_flux()
 
@@ -72,6 +74,19 @@ def test_lyapunov_rational_flux_on_spectrum():
     est = lyapunov(2.0 * np.sqrt(2.0), cfg)
     assert abs(est.value) < 0.05
     assert lyapunov(0.0, cfg).value > 0.2
+
+
+def test_le_average_matches_unrenormalized_product():
+    # RENORM_EVERY divides n, so the renormalized product is rescaled twice
+    n, m = 16, 64
+    thetas = THETA_OFFSET + np.arange(m) / m
+    for flux in (GOLD, Flux.rational(2, 7)):
+        for lam in (-3.0, 0.5, 4.0):
+            logs = [np.log(np.linalg.norm(transfer_D_product(lam, th, flux, n)))
+                    for th in thetas]
+            assert _le_average(lam, flux.alpha, 0.0, n, m) == pytest.approx(
+                np.mean(logs) / n, abs=1e-12
+            )
 
 
 def test_complexified_le_matches_at_zero():

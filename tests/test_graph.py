@@ -119,5 +119,18 @@ def test_butterfly_band_measure_shrinks_with_q():
             assert per_col[(p, 50)] < wide
 
 
+def test_butterfly_columns_equal_graph_spectrum():
+    for V in (V0, VM):
+        ds = butterfly(V, 6, 2)
+        cols = collections.defaultdict(list)
+        for p, q, k, lo, hi in ds.rows:
+            cols[(p, q, k)].append((lo, hi))
+        for p, q in {(p, q) for p, q, *_ in ds.rows}:
+            for g in graph_spectrum(V, Flux.rational(p, q), 2):
+                assert tuple(sorted(cols[(p, q, g.hill_band_index)])) == (
+                    g.continuous_bands.intervals
+                )
+
+
 def test_butterfly_threaded_is_deterministic():
     assert butterfly(V0, 4, 1, threads=4).rows == butterfly(V0, 4, 1).rows

@@ -9,6 +9,7 @@ from hexspec.hill import (
     BandInverter,
     dirichlet_eigenvalues,
     discriminant,
+    discriminant_batch,
     hill_bands,
     hill_bands_first_n,
     integrate_monodromy,
@@ -137,3 +138,14 @@ def test_band_inverter_matches_bisection():
     fast = inv(ws)
     slow = [invert_discriminant_on_band(VM, band, w) for w in ws]
     assert np.max(np.abs(fast - slow)) < 1e-8
+
+
+def test_band_inverter_maps_edge_values_to_edges():
+    # the spline's edge values are off by ~1e-15 with either sign, so the
+    # bisection direction must come from the band's monotonicity; the
+    # tolerance covers the ill-conditioned closed-gap edges of V=0
+    for V, n in ((V0, 5), (VM, 3)):
+        for band in hill_bands_first_n(V, n):
+            w = discriminant_batch(V, [band.alpha, band.beta])
+            got = BandInverter(V, band)(w)
+            assert np.max(np.abs(got - [band.alpha, band.beta])) < 1e-5

@@ -41,3 +41,4 @@ def test_sorting_and_merging():
     assert b.intervals == ((0.0, 1.0), (1.0, 2.0), (3.0, 4.0))
     assert b.merged().intervals == ((0.0, 2.0), (3.0, 4.0))
     assert b.measure == pytest.approx(3.0)
+    assert BandList.from_pairs([]).measure == 0.0

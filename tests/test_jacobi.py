@@ -13,12 +13,10 @@ from hexspec.jacobi import (
     chambers_Gq,
     coeff_c,
     rational_spectrum,
-    spectrum_measure,
     theta_spectrum,
     transfer_D,
     transfer_D_product,
 )
-from hexspec.intervals import BandList
 
 
 def _random_reduced(rng, qmax):
@@ -182,13 +180,9 @@ def test_measure_bound_examples():
     assert rational_spectrum(13, 21).measure <= 16 * math.pi / 63
 
 
-def test_spectrum_measure():
-    assert spectrum_measure(BandList.from_pairs([])) == 0.0
-    assert spectrum_measure(BandList.from_pairs([(-3.0, 3.0)])) == 6.0
-
-
 def test_normalized_trace_identity():
-    # tr(A~_q) * 2|sin(pi q (theta+1/2))| = tr(D_q) off the singular lattice
+    # |prod c| = 2|sin(pi q (theta+1/2))| off the singular lattice, and
+    # det D_q = |prod c|^2 up to the digits the product loses
     rng = np.random.default_rng(11)
     for _ in range(10):
         p, q = _random_reduced(rng, 12)
@@ -199,7 +193,20 @@ def test_normalized_trace_identity():
         assert abs(prod) == pytest.approx(
             2.0 * abs(math.sin(math.pi * q * (theta + 0.5))), abs=1e-9
         )
-        tr_tilde = np.trace(D) / prod
-        assert tr_tilde * abs(prod) == pytest.approx(
-            np.trace(D) * (abs(prod) / prod), abs=1e-9
+        assert abs(np.linalg.det(D) - abs(prod) ** 2) <= 1e-12 * (
+            1.0 + np.linalg.norm(D) ** 2
         )
+
+
+def test_transfer_D_product_is_ordered_product_of_transfer_D():
+    rng = np.random.default_rng(13)
+    for flux in (Flux.rational(2, 7), Flux.real(0.5 * (math.sqrt(5) - 1))):
+        for _ in range(5):
+            lam, theta = float(rng.uniform(-6, 6)), float(rng.uniform(0, 1))
+            expected = np.eye(2, dtype=complex)
+            for j in range(9):
+                expected = transfer_D(lam, theta + j * flux.alpha, flux) @ expected
+            got = transfer_D_product(lam, theta, flux, 9)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * (
+                1.0 + np.max(np.abs(expected))
+            )
