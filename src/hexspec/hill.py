@@ -86,18 +86,19 @@ except ImportError:  # pragma: no cover
 
 
 def _rk4_fundamental(V: PotentialSpec, lams: np.ndarray, steps: int):
-    """Integrate c and s for a batch of energies; returns (c1, c1p, s1, s1p)."""
+    """Integrate c and s for an array of energies of any shape; returns
+    (c1, c1p, s1, s1p), each of that shape."""
     h = 1.0 / steps
     # V at step starts and midpoints; nodes are lambda-independent
     t_nodes = np.arange(2 * steps + 1) * (0.5 * h)
     Vn = np.ascontiguousarray(V(t_nodes), dtype=float)
     lams = np.ascontiguousarray(lams, dtype=float)
-    c, cp, s, sp = _rk4_loop(Vn, lams, steps)
-    for arr in (c, cp, s, sp):
+    out = tuple(x.reshape(lams.shape) for x in _rk4_loop(Vn, lams.ravel(), steps))
+    for arr in out:
         if not np.all(np.isfinite(arr)):
             bad = lams[~np.isfinite(arr)][:1]
             raise IntegrationError(f"non-finite state integrating at lambda={bad}")
-    return c, cp, s, sp
+    return out
 
 
 def integrate_monodromy(
@@ -138,62 +139,75 @@ def s_at_one_batch(V: PotentialSpec, lams, steps: int = DEFAULT_STEPS) -> np.nda
     return s1
 
 
-def _bisect_many(f, lo, hi, increasing, xtol):
-    """Bisection on many brackets at once; f maps a lambda array to function
-    values (one vectorized evaluation per step) and `increasing` says, per
-    bracket or for all, which way f crosses zero.  Stops once every bracket
-    is narrower than xtol, or after 60 halvings, which leave any bracket here
-    a few ulp wide."""
+# Halvings per integration in _bisect_many.  Without numba the 4096-step
+# kernel costs about the same for up to ~63 energies as for one, and more
+# beyond; timed at n * (2**L - 1) energies for n = 1, 5 and 11 brackets,
+# L = 6 gave the least total kernel time.
+_LEVELS = 6
+_MAX_HALVINGS = 60
+
+
+def _bisect_many(f, lo, hi, increasing, xtol, levels=_LEVELS):
+    """Bisection on many brackets at once.
+
+    `increasing` says, per bracket or for all, which way f crosses zero.
+    Before each halving the bisection stops if no bracket is wider than
+    xtol; there are at most 60 halvings, which leave any bracket here a few
+    ulp wide.
+
+    One call of f serves `levels` halvings of every bracket.  Each bracket
+    is first refined `levels` times by midpoints, computed exactly as the
+    halvings compute them, and f maps this table of 2**levels - 1 lambdas
+    (one row per midpoint, one column per bracket) to values of the same
+    shape.  The halvings are then replayed from the table, so the result
+    has the same bits for every `levels`, with `levels` times fewer calls
+    of f.  Refinement stops early once no bracket of the table is wider
+    than xtol, since no later halving can be asked for.
+    """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     sign = np.where(increasing, 1.0, -1.0)
-    for _ in range(60):
-        if np.max(hi - lo) <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        below = sign * f(mid) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    cols = np.arange(lo.size)
+    mid = 0.5 * (lo + hi)
+    halvings = 0
+    while halvings < _MAX_HALVINGS and np.max(hi - lo) > xtol:
+        # table holds, level by level, the midpoints the next halvings can
+        # ask for, one column per bracket: 1, 2, 4, ... rows, where the
+        # halves of row k have their midpoints in rows 2k + 1 and 2k + 2
+        ends, table, depth = (lo, hi), mid[None], 1
+        while depth < min(levels, _MAX_HALVINGS - halvings):
+            finer = np.empty((2 * len(ends) - 1, lo.size))
+            finer[::2], finer[1::2] = ends, table[len(ends) - 2:]
+            ends = finer
+            if np.max(ends[1:] - ends[:-1]) <= xtol:
+                break
+            table = np.concatenate((table, 0.5 * (ends[:-1] + ends[1:])))
+            depth += 1
+        below = sign * f(table) < 0.0
+        row, go_right = 0, below[0]
+        for level in range(1, depth + 1):
+            lo = np.where(go_right, mid, lo)
+            hi = np.where(go_right, hi, mid)
+            mid = 0.5 * (lo + hi)
+            halvings += 1
+            if level == depth or np.max(hi - lo) <= xtol:
+                break
+            row = 2 * row + 1 + go_right
+            go_right = below[row, cols]
+    return mid
 
 
-def _lookahead(f, a, b, levels=6):
-    """f for a one-bracket bisection on [a, b], evaluated `levels` halvings
-    ahead: a point not yet known starts one batched call of f at all
-    2**levels - 1 midpoints the next `levels` halvings can ask for, computed
-    as the bisection computes them.  The integrator costs the same for one
-    energy as for 63, so this cuts the number of integrations sixfold
-    without changing the halvings."""
-    grid = np.array([a, b], dtype=float)
-    known = {}
-
-    def g(mid):
-        nonlocal grid
-        x = float(mid[0])
-        if x not in known:
-            i = int(np.searchsorted(grid, x))
-            if 0 < i < grid.size and grid[i] != x:
-                grid = grid[i - 1:i + 1]
-                for _ in range(levels):
-                    refined = np.empty(2 * grid.size - 1)
-                    refined[::2] = grid
-                    refined[1::2] = 0.5 * (grid[:-1] + grid[1:])
-                    grid = refined
-                known.update(zip(grid[1:-1].tolist(), f(grid[1:-1]).tolist()))
-            else:  # a bracket one ulp wide, whose midpoint is an end
-                known[x] = float(f(np.array([x]))[0])
-        return np.array([known[x]])
-
-    return g
-
-
-def _grid_roots(vals, grid, eval_batch, xtol=1e-13):
-    """Refine all sign changes of a sampled function to roots."""
-    idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    exact = [float(grid[i]) for i in np.nonzero(vals == 0.0)[0]]
-    if idx.size == 0:
+def _grid_roots(grid, vals, f, xtol):
+    """Roots of the functions sampled as the rows of vals on grid, in one
+    sorted list: exact zeros on the grid, plus every sign change refined by
+    one bisection over all brackets at once.  f maps a lambda table to the
+    same functions, as a sequence like vals."""
+    which, i = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    exact = [float(grid[j]) for j in np.nonzero(vals == 0.0)[1]]
+    if i.size == 0:
         return sorted(exact)
-    roots = _bisect_many(eval_batch, grid[idx], grid[idx + 1], vals[idx] < 0.0, xtol)
+    roots = _bisect_many(lambda lams: np.choose(which, f(lams)), grid[i], grid[i + 1],
+                         vals[which, i] < 0.0, xtol)
     return sorted(exact + list(roots))
 
 
@@ -208,8 +222,10 @@ def hill_bands(
     Band edges satisfy Delta(lambda)^2 = 1, and by the Wronskian plus the
     symmetry c(1) = s'(1) one has Delta^2 - 1 = c'(1) * s(1).  Both factors
     are Sturm-Liouville eigenvalue conditions with simple roots, so the
-    edges are found as sign changes of c'(1) and s(1) separately; a closed
-    gap is where one root of each coincides.
+    edges are the sign changes of c'(1) and of s(1) on a grid of spacing
+    grid_step, all refined in one bisection; a closed gap is where one root
+    of each coincides.  Two roots of one factor closer than grid_step give
+    no sign change and are missed.
     """
     lam_lo = min(0.0, V.min_value) - 1.0
     if lambda_max <= lam_lo:
@@ -217,14 +233,8 @@ def hill_bands(
     n_grid = max(16, int(np.ceil((lambda_max - lam_lo) / grid_step)) + 1)
     grid = np.linspace(lam_lo, lambda_max, n_grid)
     _, c1p, s1, _ = _rk4_fundamental(V, grid, steps)
-
-    neumann = _grid_roots(
-        c1p, grid, lambda l: _rk4_fundamental(V, l, steps)[1], xtol=EDGE_TOL
-    )
-    dirichlet = _grid_roots(
-        s1, grid, lambda l: _rk4_fundamental(V, l, steps)[2], xtol=EDGE_TOL
-    )
-    edges = sorted(neumann + dirichlet)
+    edges = _grid_roots(grid, np.stack((c1p, s1)),
+                        lambda l: _rk4_fundamental(V, l, steps)[1:3], xtol=EDGE_TOL)
     if len(edges) < 2:
         return []
 
@@ -259,16 +269,16 @@ def dirichlet_eigenvalues(
 ) -> list[float]:
     """Roots of s_lambda(1) below lambda_max, refined by bisection.
 
-    Dirichlet eigenvalues of a regular Sturm-Liouville problem are simple
-    and well-separated, so sign changes on the coarse grid find them all.
+    Dirichlet eigenvalues of a regular Sturm-Liouville problem are simple,
+    so each is a sign change of s(1) on a grid of spacing grid_step; but two
+    eigenvalues closer than grid_step give no sign change and are missed.
     """
     lam_lo = min(0.0, V.min_value) - 1.0
     n_grid = max(16, int(np.ceil((lambda_max - lam_lo) / grid_step)) + 1)
     grid = np.linspace(lam_lo, lambda_max, n_grid)
     s1 = s_at_one_batch(V, grid, steps)
-    return _grid_roots(
-        s1, grid, lambda l: _rk4_fundamental(V, l, steps)[2], xtol=EDGE_TOL
-    )
+    return _grid_roots(grid, s1[None], lambda l: [s_at_one_batch(V, l, steps)],
+                       xtol=EDGE_TOL)
 
 
 def invert_discriminant_on_band(
@@ -281,10 +291,9 @@ def invert_discriminant_on_band(
     if fa * fb >= 0.0:
         # w at (or numerically beyond) an edge value
         return band.alpha if abs(fa) <= abs(fb) else band.beta
-    f = _lookahead(lambda lams: discriminant_batch(V, lams, steps) - w,
-                   band.alpha, band.beta)
     increasing = band.monotonicity == "increasing"
-    return float(_bisect_many(f, [band.alpha], [band.beta], increasing, xtol=1e-13)[0])
+    return float(_bisect_many(lambda lams: discriminant_batch(V, lams, steps) - w,
+                              [band.alpha], [band.beta], increasing, xtol=1e-13)[0])
 
 
 class BandInverter:
@@ -309,8 +318,11 @@ class BandInverter:
         if np.any(w < -1.0 - 1e-12) or np.any(w > 1.0 + 1e-12):
             raise DomainError("discriminant target outside [-1, 1]")
         w = np.clip(w, -1.0, 1.0)
-        lo = np.full(w.shape, self.band.alpha)
-        hi = np.full(w.shape, self.band.beta)
-        # xtol 0: always the full 60 halvings
-        return _bisect_many(lambda lam: self._spline(lam) - w, lo, hi,
-                            self._increasing, xtol=0.0)
+        lo = np.full(w.size, self.band.alpha)
+        hi = np.full(w.size, self.band.beta)
+        # xtol 0: always the full 60 halvings.  One level per call of the
+        # spline: its cost grows with the number of points, so a table of
+        # 2**L - 1 points per target would cost more than it saves.
+        lam = _bisect_many(lambda lam: self._spline(lam) - w.ravel(), lo, hi,
+                           self._increasing, xtol=0.0, levels=1)
+        return lam.reshape(w.shape)

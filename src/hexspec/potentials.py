@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,10 @@ class PotentialSpec:
     def tabulated(samples) -> "PotentialSpec":
         return PotentialSpec("tabulated", samples=tuple(float(s) for s in samples))
 
+    @cached_property
     def _spline(self) -> CubicSpline:
+        """The tabulated V, built on first use and kept; not a field, so
+        equality and hashing still see the samples only."""
         arr = np.asarray(self.samples)
         t = np.linspace(0.0, 1.0, arr.size)
         return CubicSpline(t, arr)
@@ -72,7 +76,7 @@ class PotentialSpec:
             return np.zeros_like(t)
         if self.kind == "mathieu":
             return self.amplitude * np.cos(2.0 * np.pi * t)
-        return self._spline()(t)
+        return self._spline(t)
 
     def _check_even(self):
         t = np.linspace(0.0, 1.0, 257)

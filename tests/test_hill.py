@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from hexspec import hill
 from hexspec.errors import DomainError
 from hexspec.hill import (
     BandInverter,
+    _bisect_many,
     dirichlet_eigenvalues,
     discriminant,
     discriminant_batch,
@@ -15,10 +17,26 @@ from hexspec.hill import (
     integrate_monodromy,
     invert_discriminant_on_band,
 )
-from hexspec.potentials import parse_potential
+from hexspec.potentials import PotentialSpec, parse_potential
 
 V0 = parse_potential("zero")
 VM = parse_potential("mathieu:20")
+
+
+@pytest.fixture
+def rk4_calls(monkeypatch):
+    """Counts calls of the integrator kernel; each one costs about as much
+    for a few hundred energies as for one, so the count guards the cost of
+    root finding where wall time is too noisy to."""
+    calls = []
+    kernel = hill._rk4_loop
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(hill, "_rk4_loop", counted)
+    return calls
 
 
 def test_monodromy_zero_potential_pi_squared():
@@ -62,8 +80,9 @@ def test_discriminant_zero_potential_values():
     assert discriminant(V0, (math.pi / 2) ** 2) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_hill_bands_zero_potential():
+def test_hill_bands_zero_potential(rk4_calls):
     bands = hill_bands(V0, 25 * math.pi ** 2 + 1.0)
+    assert len(rk4_calls) <= 10  # 78 with one integration per halving
     assert len(bands) >= 5
     for k, b in enumerate(bands[:5], start=1):
         assert b.alpha == pytest.approx(math.pi ** 2 * (k - 1) ** 2, abs=1e-8)
@@ -90,8 +109,9 @@ def test_hill_bands_empty_below_first_band():
     assert hill_bands(VM, -20.0) == []
 
 
-def test_dirichlet_eigenvalues_zero_potential():
+def test_dirichlet_eigenvalues_zero_potential(rk4_calls):
     dirs = dirichlet_eigenvalues(V0, 100.0)
+    assert len(rk4_calls) <= 10
     expected = [k ** 2 * math.pi ** 2 for k in (1, 2, 3)]
     assert len(dirs) == 3
     assert np.allclose(dirs, expected, atol=1e-8)
@@ -103,6 +123,53 @@ def test_dirichlet_eigenvalues_at_band_edges():
         for d in dirichlet_eigenvalues(V, lmax):
             assert min(abs(d - e) for e in edges) < 1e-6
             assert abs(abs(discriminant(V, d)) - 1.0) < 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="two Dirichlet eigenvalues 0.018 apart give no "
+                   "sign change on the 0.25 grid; eigenvalue counting, ROADMAP item 3")
+def test_double_well_close_pairs():
+    t = np.linspace(0.0, 1.0, 401)
+    V = PotentialSpec.tabulated(3000.0 * np.exp(-(((t - 0.5) / 0.06) ** 2)))
+    # reference: 4000-point finite differences give 52.0462 and 52.0642
+    dirs = dirichlet_eigenvalues(V, 200.0)
+    assert len(dirs) == 2
+    assert dirs == pytest.approx([52.046, 52.064], abs=2e-3)
+
+
+@st.composite
+def _brackets(draw):
+    """Brackets with a monotone cubic on each, some one ulp wide."""
+    n = draw(st.integers(1, 6))
+    x = st.floats(-100.0, 100.0)
+    lo = np.array(draw(st.lists(x, min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 50.0)),
+                                   min_size=n, max_size=n)))
+    hi = np.where(width == 0.0, np.nextafter(lo, np.inf), lo + width)
+    root = lo + np.array(draw(st.lists(st.floats(-0.2, 1.2), min_size=n,
+                                       max_size=n))) * (hi - lo)
+    slope = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    increasing = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return lo, hi, root, slope, increasing
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_brackets(), xtol=st.sampled_from([0.0, 1e-13]))
+# the bracket the halvings follow gets within xtol one halving before every
+# bracket of a six-level table does: the check inside the replay decides
+@example(case=tuple(np.array([x]) for x in (-96.02824536814833, -81.59053148003935,
+                                             -84.75637296343996, 1.0, True)),
+         xtol=1e-13)
+def test_bisect_many_levels_do_not_change_bits(case, xtol):
+    lo, hi, root, slope, increasing = case
+    sign = np.where(increasing, 1.0, -1.0)
+
+    def f(lams):
+        d = lams - root
+        return sign * (slope * d + d ** 3)
+
+    one = _bisect_many(f, lo, hi, increasing, xtol, levels=1)
+    six = _bisect_many(f, lo, hi, increasing, xtol, levels=6)
+    assert one.tobytes() == six.tobytes()
 
 
 def test_invert_discriminant_basics():
