@@ -225,7 +225,7 @@ def hill_bands(
     edges are the sign changes of c'(1) and of s(1) on a grid of spacing
     grid_step, all refined in one bisection; a closed gap is where one root
     of each coincides.  Two roots of one factor closer than grid_step give
-    no sign change and are missed.
+    no sign change and are missed.  Delta falls on odd bands, rises on even.
     """
     lam_lo = min(0.0, V.min_value) - 1.0
     if lambda_max <= lam_lo:
@@ -237,14 +237,12 @@ def hill_bands(
                         lambda l: _rk4_fundamental(V, l, steps)[1:3], xtol=EDGE_TOL)
     if len(edges) < 2:
         return []
-
-    edge_delta = discriminant_batch(V, edges, steps)
     bands = []
     for k in range(0, len(edges) - 1, 2):
         lo, hi = edges[k], edges[k + 1]
         if hi > lambda_max + EDGE_TOL:
             break
-        mono = "decreasing" if edge_delta[k] > 0.0 else "increasing"
+        mono = "increasing" if len(bands) % 2 else "decreasing"
         bands.append(HillBand(index=len(bands) + 1, alpha=lo, beta=hi, monotonicity=mono))
     return bands
 

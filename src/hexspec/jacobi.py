@@ -121,46 +121,43 @@ def build_Mq(theta: float, p: int, q: int) -> np.ndarray:
     # every theta in the lattice yields the same decoupled block: the
     # restriction of the infinite matrix between two vanishing couplings,
     # anchored at the angle 1/2 where c vanishes
-    alpha = p / q
-    M = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        M[j, j] = coeff_v(0.5 - j * alpha)
-    for j in range(q - 1):
-        cj = coeff_c(0.5 - (j + 1) * alpha)
-        M[j + 1, j] = cj
-        M[j, j + 1] = np.conj(cj)
+    j = np.arange(q)
+    M = np.diag(coeff_v(0.5 - j * (p / q))).astype(complex)
+    cj = coeff_c(0.5 - j[1:] * (p / q))
+    M[j[1:], j[:-1]] = cj
+    M[j[:-1], j[1:]] = np.conj(cj)
+    return M
+
+
+def _bloch_blocks(p: int, q: int, thetas, phases) -> np.ndarray:
+    """Periodic q x q Jacobi blocks, shape (len(thetas), len(phases), q, q):
+    diagonal v(theta - j p/q), off-diagonal |c(theta - (j+1) p/q)|, corners
+    phase * |c(theta)| and its conjugate, added onto shared entries (q <= 2).
+    Real phases give a real float64 array, complex ones a complex array."""
+    thetas = np.asarray(thetas, dtype=float)[:, None]
+    phases = np.asarray(phases)
+    j = np.arange(q)
+    M = np.zeros((thetas.shape[0], phases.size, q, q), dtype=phases.dtype)
+    M[..., j, j] = coeff_v(thetas - j * (p / q))[:, None]
+    off = np.abs(coeff_c(thetas - j[1:] * (p / q)))[:, None]
+    M[..., j[1:], j[:-1]] = off
+    M[..., j[:-1], j[1:]] = off
+    corner = phases * np.abs(coeff_c(thetas))
+    M[..., 0, q - 1] += corner
+    M[..., q - 1, 0] += np.conj(corner)
     return M
 
 
 def build_Mq_nu(theta: float, nu: float, p: int, q: int) -> np.ndarray:
-    """Periodic q x q Jacobi block with Floquet corner phase e^{2 pi i nu}.
-
-    Diagonal v(theta - j p/q), off-diagonal |c(theta - (j+1) p/q)|, corners
-    e^{+-2 pi i nu} |c(theta)|.  Real symmetric for nu in {0, 1/2}.
-    """
-    alpha = p / q
-    if q == 1:
-        val = coeff_v(theta) + 2.0 * math.cos(2.0 * math.pi * nu) * abs(coeff_c(theta))
-        return np.array([[val]], dtype=complex)
-    M = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        M[j, j] = coeff_v(theta - j * alpha)
-    for j in range(q - 1):
-        b = abs(coeff_c(theta - (j + 1) * alpha))
-        M[j + 1, j] = b
-        M[j, j + 1] = b
-    # the wrap-around coupling accumulates: for q=2 it shares the entry with
-    # the tridiagonal coupling
-    corner = cmath.exp(2j * math.pi * nu) * abs(coeff_c(theta))
-    M[0, q - 1] += corner
-    M[q - 1, 0] += corner.conjugate()
-    return M
+    """Periodic q x q Jacobi block with Floquet corner phase e^{2 pi i nu}, as
+    a complex array (see _bloch_blocks).  Real symmetric for nu in {0, 1/2}."""
+    return _bloch_blocks(p, q, [theta], [cmath.exp(2j * math.pi * nu)])[0, 0]
 
 
 def theta_spectrum(p: int, q: int, theta: float) -> BandList:
     """Per-theta spectrum: q possibly-touching bands whose k-th endpoints are
     the k-th eigenvalues of the nu=1/2 and nu=0 periodic blocks."""
-    los, his = _endpoint_arrays(p, q, theta)
+    los, his = (e[0] for e in _endpoint_arrays(p, q, [theta]))
     # interlacing: consecutive bands may touch but must not overlap
     overlap = his[:-1] - los[1:]
     if q > 1 and np.max(overlap) > 1e-9 * (1.0 + np.max(np.abs(his))):
@@ -182,18 +179,22 @@ def _theta_stars(q: int) -> tuple[float, float]:
 def rational_spectrum(p: int, q: int) -> BandList:
     """Sigma_{2 pi p/q}: union over theta of the per-theta spectra, realized as
     the band-wise hull of two extremizing angles; exactly q possibly-touching
-    bands."""
+    bands, from one real eigvalsh call.  The bottom edge is exactly -3 for
+    every p/q (Chambers); it is pinned there, as the eigensolve puts it a few
+    ulp off and the square root in q_spectrum would open a gap at 0."""
     if math.gcd(p, q) != 1:
         raise DomainError(f"flux {p}/{q} is not reduced")
-    th_a, th_b = _theta_stars(q)
-    lo_a, hi_a = _endpoint_arrays(p, q, th_a)
-    lo_b, hi_b = _endpoint_arrays(p, q, th_b)
-    los = np.minimum(lo_a, lo_b)
-    his = np.maximum(hi_a, hi_b)
+    los, his = _endpoint_arrays(p, q, _theta_stars(q))
+    los, his = los.min(axis=0), his.max(axis=0)
+    if abs(los[0] + 3.0) > 1e-10:
+        raise ConsistencyError(f"bottom of Sigma for p/q={p}/{q} is {los[0]!r}, not -3")
+    los[0] = -3.0
     return BandList.from_pairs(zip(los, his))
 
 
-def _endpoint_arrays(p: int, q: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    e_half = np.linalg.eigvalsh(build_Mq_nu(theta, 0.5, p, q))
-    e_zero = np.linalg.eigvalsh(build_Mq_nu(theta, 0.0, p, q))
-    return np.minimum(e_half, e_zero), np.maximum(e_half, e_zero)
+def _endpoint_arrays(p: int, q: int, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Per theta, the k-th band endpoints, shape (len(thetas), q): the lower
+    and higher k-th eigenvalues of the nu = 1/2 and nu = 0 blocks (corner
+    phases -1 and 1), from one eigvalsh call on a real float64 stack."""
+    eigs = np.linalg.eigvalsh(_bloch_blocks(p, q, thetas, [-1.0, 1.0]))
+    return eigs.min(axis=1), eigs.max(axis=1)

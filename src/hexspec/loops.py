@@ -5,6 +5,7 @@ double-hexagon Dirichlet eigenstates with a slicing edge."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,13 +116,10 @@ class DoubleHexState:
     potential: PotentialSpec
 
 
-def _check_dirichlet(V: PotentialSpec, lam: float) -> float:
-    sol = integrate_monodromy(V, lam)
-    if abs(sol.s1) > 1e-6:
-        raise DomainError(
-            f"lambda={lam} is not a Dirichlet eigenvalue (s(1)={sol.s1:.2e})"
-        )
-    return sol.s1p
+@functools.lru_cache(maxsize=64)
+def _monodromy(V: PotentialSpec, lam: float):
+    """integrate_monodromy once per (V, lam), shared by a state and its checks."""
+    return integrate_monodromy(V, lam)
 
 
 def double_hexagon_state(
@@ -138,7 +136,10 @@ def double_hexagon_state(
     """
     if V is None:
         V = parse_potential("zero")
-    _check_dirichlet(V, dirichlet_lambda)
+    s1 = _monodromy(V, dirichlet_lambda).s1
+    if abs(s1) > 1e-6:
+        raise DomainError(f"lambda={dirichlet_lambda} is not a Dirichlet eigenvalue "
+                          f"(s(1)={s1:.2e})")
     loop = double_hexagon_loop(phi, gamma1)
     T = build_TPhi(loop, phi)
     slicing_beta = 0.0  # the shared edge is f/g-type: zero phase
@@ -181,7 +182,7 @@ def verify_vertex_conditions(state: DoubleHexState, phi: float) -> dict:
     s'(1) = s1p from the monodromy.
     """
     V = state.potential
-    sol = integrate_monodromy(V, state.dirichlet_lambda)
+    sol = _monodromy(V, state.dirichlet_lambda)
     s1p = sol.s1p
     loop = double_hexagon_loop(phi, state.gamma1)
     a = state.outer_coeffs

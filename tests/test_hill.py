@@ -82,7 +82,7 @@ def test_discriminant_zero_potential_values():
 
 def test_hill_bands_zero_potential(rk4_calls):
     bands = hill_bands(V0, 25 * math.pi ** 2 + 1.0)
-    assert len(rk4_calls) <= 10  # 78 with one integration per halving
+    assert len(rk4_calls) <= 8  # 78 with one integration per halving
     assert len(bands) >= 5
     for k, b in enumerate(bands[:5], start=1):
         assert b.alpha == pytest.approx(math.pi ** 2 * (k - 1) ** 2, abs=1e-8)

@@ -4,19 +4,62 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexspec.errors import DomainError
-from hexspec.flux import Flux
+from hexspec import jacobi
+from hexspec.errors import ConsistencyError, DomainError
+from hexspec.flux import Flux, reduced_fractions
 from hexspec.jacobi import (
+    _theta_stars,
     _trace_Dq,
     build_Mq,
     build_Mq_nu,
     chambers_Gq,
     coeff_c,
+    coeff_v,
     rational_spectrum,
     theta_spectrum,
     transfer_D,
     transfer_D_product,
 )
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Records the argument of every np.linalg.eigvalsh call."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def _per_entry_block(theta, nu, p, q):
+    """The periodic block built entry by entry as a complex matrix: the
+    reference for the stacked real construction."""
+    alpha = p / q
+    if q == 1:
+        val = coeff_v(theta) + 2.0 * math.cos(2.0 * math.pi * nu) * abs(coeff_c(theta))
+        return np.array([[val]], dtype=complex)
+    M = np.zeros((q, q), dtype=complex)
+    for j in range(q):
+        M[j, j] = coeff_v(theta - j * alpha)
+    for j in range(q - 1):
+        b = abs(coeff_c(theta - (j + 1) * alpha))
+        M[j + 1, j] = b
+        M[j, j + 1] = b
+    corner = np.exp(2j * math.pi * nu) * abs(coeff_c(theta))
+    M[0, q - 1] += corner
+    M[q - 1, 0] += np.conj(corner)
+    return M
+
+
+def _per_entry_endpoints(p, q, theta):
+    e_half = np.linalg.eigvalsh(_per_entry_block(theta, 0.5, p, q))
+    e_zero = np.linalg.eigvalsh(_per_entry_block(theta, 0.0, p, q))
+    return np.minimum(e_half, e_zero), np.maximum(e_half, e_zero)
 
 
 def _random_reduced(rng, qmax):
@@ -210,3 +253,42 @@ def test_transfer_D_product_is_ordered_product_of_transfer_D():
             assert np.max(np.abs(got - expected)) <= 1e-12 * (
                 1.0 + np.max(np.abs(expected))
             )
+
+
+def test_stacked_blocks_match_per_entry_construction():
+    # q = 1 and q = 2 included, where the corners share the diagonal and the
+    # off-diagonal entry
+    rng = np.random.default_rng(17)
+    for p, q in reduced_fractions(30):
+        stars = _theta_stars(q)
+        thetas = list(stars) + list(rng.uniform(0.0, 1.0, 3))
+        for theta in thetas:
+            lo, hi = _per_entry_endpoints(p, q, theta)
+            got = np.array(theta_spectrum(p, q, theta).intervals)
+            assert np.max(np.abs(got - np.stack((lo, hi), axis=1))) <= 1e-12
+            for nu in (0.0, 0.5, 0.3):
+                M = build_Mq_nu(theta, nu, p, q)
+                assert M.dtype == complex
+                assert np.max(np.abs(M - _per_entry_block(theta, nu, p, q))) <= 1e-14
+        ends = [_per_entry_endpoints(p, q, th) for th in stars]
+        lo = np.minimum(ends[0][0], ends[1][0])
+        hi = np.maximum(ends[0][1], ends[1][1])
+        got = np.array(rational_spectrum(p, q).intervals)
+        assert np.max(np.abs(got - np.stack((lo, hi), axis=1))) <= 1e-12
+
+
+def test_rational_spectrum_makes_one_real_eigvalsh_call(eigvalsh_calls):
+    for p, q in ((0, 1), (1, 2), (2, 7), (13, 21), (55, 89)):
+        eigvalsh_calls.clear()
+        rational_spectrum(p, q)
+        assert len(eigvalsh_calls) == 1
+        assert eigvalsh_calls[0].dtype == np.float64
+        assert eigvalsh_calls[0].shape == (2, 2, q, q)
+
+
+def test_rational_spectrum_rejects_a_bottom_edge_far_from_minus_three(monkeypatch):
+    # at angles other than the extremizing ones the hull misses -3 by far more
+    # than rounding, and the pin must not hide that
+    monkeypatch.setattr(jacobi, "_theta_stars", lambda q: (0.3, 0.3))
+    with pytest.raises(ConsistencyError):
+        rational_spectrum(2, 5)

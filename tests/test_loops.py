@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexspec import loops
 from hexspec.errors import DomainError
-from hexspec.hill import dirichlet_eigenvalues
+from hexspec.hill import dirichlet_eigenvalues, integrate_monodromy
 from hexspec.loops import (
     build_TPhi,
     double_hexagon_loop,
@@ -112,3 +113,19 @@ def test_zeroed_state_trivially_satisfied():
         st_, outer_coeffs=(0.0,) * 10, slicing_coeff=0.0
     )
     assert verify_vertex_conditions(zero, math.pi)["max_violation"] == 0.0
+
+
+def test_state_and_checks_integrate_once(monkeypatch):
+    lam = dirichlet_eigenvalues(VM, 100.0)[1]
+    calls = []
+
+    def counted(V, energy):
+        calls.append(energy)
+        return integrate_monodromy(V, energy)
+
+    loops._monodromy.cache_clear()
+    monkeypatch.setattr(loops, "integrate_monodromy", counted)
+    state = double_hexagon_state(0.0, lam, V=VM)
+    reports = [verify_vertex_conditions(state, phi) for phi in (0.0, math.pi / 2, math.pi)]
+    assert calls == [lam]
+    assert all(r["s1p"] == integrate_monodromy(VM, lam).s1p for r in reports)

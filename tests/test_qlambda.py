@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hexspec.errors import DomainError
+from hexspec.flux import reduced_fractions
 from hexspec.intervals import BandList
 from hexspec.jacobi import rational_spectrum
 from hexspec.qlambda import q_norm_bound, q_spectrum
@@ -77,3 +78,15 @@ def test_q_spectrum_within_norm_bound():
         bands = q_spectrum(rational_spectrum(p, q)).bands
         assert all(-bound - 1e-9 <= lo and hi <= bound + 1e-9
                    for lo, hi in bands.intervals)
+
+
+def test_dirac_edge_is_exact_for_every_flux():
+    # Sigma_{p/q} reaches down to exactly -3, so the two middle Q-bands touch
+    # at the Dirac energy 0; an edge a few ulp above -3 would open a ~1e-8
+    # gap there and q_spectrum would add the point band {0}
+    for p, q in reduced_fractions(50):
+        sigma = rational_spectrum(p, q)
+        assert sigma.intervals[0][0] == -3.0, (p, q)
+        qb = q_spectrum(sigma).bands.intervals
+        assert len(qb) == 2 * q, (p, q)
+        assert qb[q - 1][1] == 0.0 == qb[q][0], (p, q)
