@@ -2,14 +2,13 @@
 scans, irrational-flux covers, loop states, and the invariant suite.
 
 All artifacts are deterministic: floats printed with 15 significant digits,
-UTF-8, "\n" line endings, ordering independent of the worker count.
+UTF-8, "\n" line endings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import verify as verify_mod
 from .dynamics import CocycleConfig, irrational_cover, lyapunov
 from .errors import DomainError, HexspecError
-from .flux import GOLDEN_MEAN, Flux, parse_flux
+from .flux import parse_flux
 from .graph import ButterflyDataset, butterfly, graph_spectrum
 from .hill import dirichlet_eigenvalues
 from .loops import double_hexagon_state, verify_vertex_conditions
@@ -212,7 +211,7 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hexspec")
     ap.add_argument("--threads", type=int, default=None,
-                    help="worker count (default: HEXSPEC_THREADS or 1)")
+                    help="no effect; accepted for compatibility")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="graph band structure at rational flux")

@@ -4,7 +4,7 @@ eigenvalues, locate Dirac points, and build the Hofstadter-butterfly dataset."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -12,9 +12,11 @@ import numpy as np
 from .errors import DomainError
 from .flux import Flux, reduced_fractions
 from .hill import (
+    DEFAULT_STEPS,
     BandInverter,
     HillBand,
-    discriminant,
+    bands_window,
+    discriminant_batch,
     dirichlet_eigenvalues,
     hill_bands_first_n,
 )
@@ -67,10 +69,12 @@ def _pullback(qspectra: list[QSpectrum], band: HillBand, inv) -> list[np.ndarray
 @lru_cache(maxsize=8)
 def _hill_side(V: PotentialSpec, n_bands: int):
     """Flux-independent Hill data: bands, one batched inverter per band, and
-    the Dirichlet eigenvalues up to the last band edge."""
+    the Dirichlet eigenvalues up to the last band edge plus one.  The bands
+    and the Dirichlet eigenvalues share one window, so one counting pass."""
     bands = tuple(hill_bands_first_n(V, n_bands))
     inverters = tuple(BandInverter(V, b) for b in bands)
-    dir_all = tuple(dirichlet_eigenvalues(V, bands[-1].beta + 1.0))
+    dirs = dirichlet_eigenvalues(V, bands_window(V, n_bands))
+    dir_all = tuple(d for d in dirs if d < bands[-1].beta + 1.0)
     return bands, inverters, dir_all
 
 
@@ -84,15 +88,11 @@ def graph_spectrum(
                           "covers for irrational flux")
     bands, inverters, dir_all = _hill_side(V, n_bands)
     qs = q_spectrum(rational_spectrum(flux.p, flux.q))
-    dir_arr = np.asarray(dir_all)
     out = []
     for k, (band, inv) in enumerate(zip(bands, inverters), start=1):
         cont = BandList.from_pairs(_pullback([qs], band, inv)[0])
-        edges = np.array([band.alpha, band.beta])
-        dirs = tuple(
-            float(e) for e in edges
-            if dir_arr.size and np.min(np.abs(dir_arr - e)) < 1e-6
-        )
+        dirs = tuple(e for e in (band.alpha, band.beta)
+                     if any(abs(d - e) < 1e-6 for d in dir_all))
         dirac = float(inv(0.0)[0])
         out.append(GraphSpectrum(k, band, cont, dirs, dirac))
     return out
@@ -112,20 +112,12 @@ def butterfly(
 
     All discriminant inversions per Hill band are batched through one
     spline-accelerated inverter, so the cost is one dense discriminant
-    sampling per band plus cheap eigensolves per flux.
+    sampling per band plus cheap eigensolves per flux.  `threads` is
+    accepted for compatibility and ignored: the fluxes run in one thread.
     """
     bands, inverters, dir_lines = _hill_side(V, n_bands)
     fracs = reduced_fractions(q_max)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # ordered map keeps the reduction deterministic
-            qspectra = list(
-                pool.map(lambda pq: q_spectrum(rational_spectrum(*pq)), fracs)
-            )
-    else:
-        qspectra = [q_spectrum(rational_spectrum(p, q)) for p, q in fracs]
+    qspectra = [q_spectrum(rational_spectrum(p, q)) for p, q in fracs]
 
     rows = []
     for k, (band, inv) in enumerate(zip(bands, inverters), start=1):
@@ -145,11 +137,8 @@ def local_symmetry_check(V: PotentialSpec, flux: Flux, band_index: int) -> dict:
     """Verify that the Delta-image of the computed graph bands in one Hill
     band is symmetric under negation; returns a report with the deviation."""
     spec = graph_spectrum(V, flux, band_index)[band_index - 1]
-    ws = []
-    for lo, hi in spec.continuous_bands.intervals:
-        ws.append(discriminant(V, lo))
-        ws.append(discriminant(V, hi))
-    ws = np.sort(np.asarray(ws))
+    # the step-doubled discriminant, 2 * DEFAULT_STEPS, at all edges at once
+    ws = np.sort(discriminant_batch(V, spec.continuous_bands.endpoints(), 2 * DEFAULT_STEPS))
     deviation = float(np.max(np.abs(ws + ws[::-1]))) if ws.size else 0.0
     return {
         "hill_band": band_index,

@@ -4,22 +4,32 @@ Everything is driven by the fundamental solutions c and s of
 -psi'' + V psi = lambda psi on (0,1) with (c, c')(0) = (1, 0) and
 (s, s')(0) = (0, 1); the discriminant is Delta(lambda) = s'(1), which by
 evenness of V equals c(1).
+
+Eigenvalues are found by Sturm oscillation counting: the zeros of s on
+(0, 1) count the Dirichlet eigenvalues below lambda, and the zeros of c plus
+[c(1) c'(1) < 0] count the Neumann ones.  The counts are exact integers, so
+bisecting on them finds every eigenvalue, however close to its neighbour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, IntegrationError
 from .potentials import PotentialSpec
 
 DEFAULT_STEPS = 4096
-WRONSKIAN_TOL = 1e-9
 EDGE_TOL = 1e-12
+# Largest lambda_max the eigenvalue counts are trusted at, for DEFAULT_STEPS
+# (it scales with steps**2).  There sqrt(lambda) h = 0.077 rad per step, and
+# the RK4 phase error, which grows like its fifth power, stays far below pi.
+COUNT_LAMBDA_MAX = 1e5
+# Energies of the one counting call that brackets every eigenvalue
+_COUNT_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -46,20 +56,20 @@ class HillBand:
     beta: float
     monotonicity: str  # "increasing" | "decreasing" (Delta on the interior)
 
-    @property
-    def width(self) -> float:
-        return self.beta - self.alpha
-
 
 def _rk4_loop(Vn: np.ndarray, lams: np.ndarray, steps: int):
     """RK4 over [0,1] on (u, u')' = (u', (V - lam) u) for both fundamental
     solutions; Vn holds V at step starts and midpoints.  c and s ride in one
-    state vector (c first), so each step costs one set of array operations."""
+    state vector (c first), so each step costs one set of array operations.
+    Next to the state it counts the sign changes of c and of s across the
+    step nodes, i.e. their zeros in (0, 1]."""
     h = 1.0 / steps
     n = lams.shape[0]
     lam2 = np.concatenate((lams, lams))
     u = np.concatenate((np.ones_like(lams), np.zeros_like(lams)))
     up = np.concatenate((np.zeros_like(lams), np.ones_like(lams)))
+    neg = u < 0.0
+    zeros = np.zeros(2 * n, dtype=np.int64)
     for i in range(steps):
         w0 = Vn[2 * i] - lam2
         wm = Vn[2 * i + 1] - lam2
@@ -74,7 +84,10 @@ def _rk4_loop(Vn: np.ndarray, lams: np.ndarray, steps: int):
         k4p = w1 * (u + h * k3u)
         u, up = (u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
                  up + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
-    return u[:n], up[:n], u[n:], up[n:]
+        now = u < 0.0
+        zeros += now != neg
+        neg = now
+    return u[:n], up[:n], u[n:], up[n:], zeros[:n], zeros[n:]
 
 
 try:  # jit-compiled kernel; the numpy loop above is the fallback
@@ -87,7 +100,7 @@ except ImportError:  # pragma: no cover
 
 def _rk4_fundamental(V: PotentialSpec, lams: np.ndarray, steps: int):
     """Integrate c and s for an array of energies of any shape; returns
-    (c1, c1p, s1, s1p), each of that shape."""
+    (c1, c1p, s1, s1p, zeros of c, zeros of s), each of that shape."""
     h = 1.0 / steps
     # V at step starts and midpoints; nodes are lambda-independent
     t_nodes = np.arange(2 * steps + 1) * (0.5 * h)
@@ -108,8 +121,8 @@ def integrate_monodromy(
     if steps < 64:
         raise DomainError("steps must be >= 64")
     lams = np.array([float(lam)])
-    c1, c1p, s1, s1p = (x[0] for x in _rk4_fundamental(V, lams, steps))
-    _, _, _, s1p_fine = (x[0] for x in _rk4_fundamental(V, lams, 2 * steps))
+    c1, c1p, s1, s1p = (x[0] for x in _rk4_fundamental(V, lams, steps)[:4])
+    s1p_fine = _rk4_fundamental(V, lams, 2 * steps)[3][0]
     return MonodromySolution(
         lam=float(lam),
         c1=float(c1),
@@ -129,14 +142,7 @@ def discriminant_batch(
     V: PotentialSpec, lams, steps: int = DEFAULT_STEPS
 ) -> np.ndarray:
     """Delta at many energies in one vectorized integration (no step doubling)."""
-    _, _, _, s1p = _rk4_fundamental(V, np.asarray(lams, dtype=float), steps)
-    return s1p
-
-
-def s_at_one_batch(V: PotentialSpec, lams, steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """s_lambda(1) at many energies (vanishes exactly on the Dirichlet spectrum)."""
-    _, _, s1, _ = _rk4_fundamental(V, np.asarray(lams, dtype=float), steps)
-    return s1
+    return _rk4_fundamental(V, np.asarray(lams, dtype=float), steps)[3]
 
 
 # Halvings per integration in _bisect_many.  Without numba the 4096-step
@@ -170,7 +176,7 @@ def _bisect_many(f, lo, hi, increasing, xtol, levels=_LEVELS):
     cols = np.arange(lo.size)
     mid = 0.5 * (lo + hi)
     halvings = 0
-    while halvings < _MAX_HALVINGS and np.max(hi - lo) > xtol:
+    while halvings < _MAX_HALVINGS and np.max(hi - lo, initial=0.0) > xtol:
         # table holds, level by level, the midpoints the next halvings can
         # ask for, one column per bracket: 1, 2, 4, ... rows, where the
         # halves of row k have their midpoints in rows 2k + 1 and 2k + 2
@@ -197,86 +203,79 @@ def _bisect_many(f, lo, hi, increasing, xtol, levels=_LEVELS):
     return mid
 
 
-def _grid_roots(grid, vals, f, xtol):
-    """Roots of the functions sampled as the rows of vals on grid, in one
-    sorted list: exact zeros on the grid, plus every sign change refined by
-    one bisection over all brackets at once.  f maps a lambda table to the
-    same functions, as a sequence like vals."""
-    which, i = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-    exact = [float(grid[j]) for j in np.nonzero(vals == 0.0)[1]]
-    if i.size == 0:
-        return sorted(exact)
-    roots = _bisect_many(lambda lams: np.choose(which, f(lams)), grid[i], grid[i + 1],
-                         vals[which, i] < 0.0, xtol)
-    return sorted(exact + list(roots))
+@lru_cache(maxsize=16)
+def _eigenvalues(V: PotentialSpec, lambda_max: float, steps: int):
+    """Neumann and Dirichlet eigenvalues below lambda_max, as two sorted
+    tuples.  One call counts at _COUNT_GRID energies, which brackets each
+    eigenvalue between two of them; one bisection on "count >= k" then
+    refines all brackets at once.  Cached, so the bands and the Dirichlet
+    eigenvalues of one window cost one pass."""
+    if lambda_max > COUNT_LAMBDA_MAX * (steps / DEFAULT_STEPS) ** 2:
+        raise DomainError(f"lambda_max {lambda_max:g} is above the range where "
+                          f"{steps} steps count eigenvalues exactly")
+
+    def count(lams):  # the numbers of Neumann and of Dirichlet eigenvalues below
+        c1, c1p, _, _, zeros_c, zeros_s = _rk4_fundamental(V, lams, steps)
+        return zeros_c + (c1 * c1p < 0.0), zeros_s
+
+    grid = np.linspace(V.min_value - 1.0, lambda_max, _COUNT_GRID)  # from below all
+    # the k-th eigenvalue of a kind lies below the first grid energy with a
+    # count >= k, and above the grid energy before it
+    counts = count(grid)
+    ks = [np.arange(1, n[-1] + 1) for n in counts]
+    kind = np.repeat([0, 1], [len(k) for k in ks])
+    right = np.concatenate([np.searchsorted(n, k) for n, k in zip(counts, ks)])
+    k = np.concatenate(ks)
+
+    def above(lams):  # > 0 where the k-th eigenvalue of its kind is below lams
+        n_neu, n_dir = count(lams)
+        return np.where(kind == 1, n_dir, n_neu) - k + 0.5
+
+    roots = _bisect_many(above, grid[right - 1], grid[right], True, xtol=EDGE_TOL)
+    return tuple(roots[kind == 0].tolist()), tuple(roots[kind == 1].tolist())
 
 
 def hill_bands(
-    V: PotentialSpec,
-    lambda_max: float,
-    steps: int = DEFAULT_STEPS,
-    grid_step: float = 0.25,
+    V: PotentialSpec, lambda_max: float, steps: int = DEFAULT_STEPS
 ) -> list[HillBand]:
-    """All Hill bands [alpha_n, beta_n] with beta_n <= lambda_max.
+    """All Hill bands [alpha_n, beta_n] with beta_n < lambda_max.
 
     Band edges satisfy Delta(lambda)^2 = 1, and by the Wronskian plus the
-    symmetry c(1) = s'(1) one has Delta^2 - 1 = c'(1) * s(1).  Both factors
-    are Sturm-Liouville eigenvalue conditions with simple roots, so the
-    edges are the sign changes of c'(1) and of s(1) on a grid of spacing
-    grid_step, all refined in one bisection; a closed gap is where one root
-    of each coincides.  Two roots of one factor closer than grid_step give
-    no sign change and are missed.  Delta falls on odd bands, rises on even.
+    symmetry c(1) = s'(1) one has Delta^2 - 1 = c'(1) * s(1).  So the edges
+    are the Neumann and the Dirichlet eigenvalues, paired two by two in
+    sorted order; a closed gap is where one of each coincides.  Delta falls
+    on odd bands, rises on even.  Raises DomainError for lambda_max above
+    COUNT_LAMBDA_MAX (at the default steps).
     """
-    lam_lo = min(0.0, V.min_value) - 1.0
-    if lambda_max <= lam_lo:
-        return []
-    n_grid = max(16, int(np.ceil((lambda_max - lam_lo) / grid_step)) + 1)
-    grid = np.linspace(lam_lo, lambda_max, n_grid)
-    _, c1p, s1, _ = _rk4_fundamental(V, grid, steps)
-    edges = _grid_roots(grid, np.stack((c1p, s1)),
-                        lambda l: _rk4_fundamental(V, l, steps)[1:3], xtol=EDGE_TOL)
-    if len(edges) < 2:
-        return []
-    bands = []
-    for k in range(0, len(edges) - 1, 2):
-        lo, hi = edges[k], edges[k + 1]
-        if hi > lambda_max + EDGE_TOL:
-            break
-        mono = "increasing" if len(bands) % 2 else "decreasing"
-        bands.append(HillBand(index=len(bands) + 1, alpha=lo, beta=hi, monotonicity=mono))
-    return bands
+    neumann, dirichlet = _eigenvalues(V, float(lambda_max), steps)
+    edges = sorted(neumann + dirichlet)
+    return [
+        HillBand(index=k + 1, alpha=edges[2 * k], beta=edges[2 * k + 1],
+                 monotonicity="increasing" if k % 2 else "decreasing")
+        for k in range(len(edges) // 2)
+    ]
+
+
+def bands_window(V: PotentialSpec, n_bands: int) -> float:
+    """An energy above the first n_bands Hill bands: by comparison with the
+    constant potential max V, the n-th Neumann and Dirichlet eigenvalues are
+    at most n^2 pi^2 + max V."""
+    return n_bands**2 * np.pi**2 + V.max_value + 1.0
 
 
 def hill_bands_first_n(
     V: PotentialSpec, n_bands: int, steps: int = DEFAULT_STEPS
 ) -> list[HillBand]:
-    """First n Hill bands, extending the scan window until all are found."""
-    lam_max = max(30.0, 12.0 * n_bands**2)
-    while True:
-        bands = hill_bands(V, lam_max, steps)
-        if len(bands) >= n_bands:
-            return bands[:n_bands]
-        lam_max *= 2.0
+    """First n Hill bands, from one pass up to bands_window(V, n_bands)."""
+    return hill_bands(V, bands_window(V, n_bands), steps)[:n_bands]
 
 
 def dirichlet_eigenvalues(
-    V: PotentialSpec,
-    lambda_max: float,
-    steps: int = DEFAULT_STEPS,
-    grid_step: float = 0.25,
+    V: PotentialSpec, lambda_max: float, steps: int = DEFAULT_STEPS
 ) -> list[float]:
-    """Roots of s_lambda(1) below lambda_max, refined by bisection.
-
-    Dirichlet eigenvalues of a regular Sturm-Liouville problem are simple,
-    so each is a sign change of s(1) on a grid of spacing grid_step; but two
-    eigenvalues closer than grid_step give no sign change and are missed.
-    """
-    lam_lo = min(0.0, V.min_value) - 1.0
-    n_grid = max(16, int(np.ceil((lambda_max - lam_lo) / grid_step)) + 1)
-    grid = np.linspace(lam_lo, lambda_max, n_grid)
-    s1 = s_at_one_batch(V, grid, steps)
-    return _grid_roots(grid, s1[None], lambda l: [s_at_one_batch(V, l, steps)],
-                       xtol=EDGE_TOL)
+    """Dirichlet eigenvalues (the roots of s_lambda(1)) below lambda_max,
+    every one of them, from the same counting pass as hill_bands."""
+    return list(_eigenvalues(V, float(lambda_max), steps)[1])
 
 
 def invert_discriminant_on_band(
@@ -309,6 +308,7 @@ class BandInverter:
         vals = discriminant_batch(V, lams, steps)
         self._spline = CubicSpline(lams, vals)
         self._increasing = band.monotonicity == "increasing"
+        self._w_alpha = -1.0 if self._increasing else 1.0  # Delta(alpha) = -Delta(beta)
 
     def __call__(self, w):
         """Invert an array of targets in [-1, 1]; returns lambdas in the band."""
@@ -323,4 +323,8 @@ class BandInverter:
         # 2**L - 1 points per target would cost more than it saves.
         lam = _bisect_many(lambda lam: self._spline(lam) - w.ravel(), lo, hi,
                            self._increasing, xtol=0.0, levels=1)
+        # Delta = +-1 at the edges by definition; at a closed gap, where
+        # Delta' = 0, a model error of 1e-15 would move that crossing by 1e-7
+        at_edge = [w.ravel() == self._w_alpha, w.ravel() == -self._w_alpha]
+        lam = np.select(at_edge, [self.band.alpha, self.band.beta], lam)
         return lam.reshape(w.shape)

@@ -82,9 +82,3 @@ class BandList:
 
     def endpoints(self) -> np.ndarray:
         return np.array([e for iv in self.intervals for e in iv])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bands": [[lo, hi] for lo, hi in self.intervals],
-            "measure": self.measure,
-        }

@@ -88,6 +88,10 @@ class PotentialSpec:
     def min_value(self) -> float:
         return float(np.min(self(np.linspace(0.0, 1.0, 1025))))
 
+    @property
+    def max_value(self) -> float:
+        return float(np.max(self(np.linspace(0.0, 1.0, 1025))))
+
     def describe(self) -> str:
         if self.kind == "zero":
             return "zero"

@@ -12,7 +12,8 @@ import numpy as np
 from . import jacobi
 from .dynamics import irrational_cover, holder_probe
 from .flux import Flux, GOLDEN_MEAN, golden_flux
-from .hill import integrate_monodromy, hill_bands, dirichlet_eigenvalues
+from .hill import (DEFAULT_STEPS, discriminant_batch, dirichlet_eigenvalues,
+                   hill_bands, integrate_monodromy)
 from .loops import double_hexagon_loop, hexagon_loop, rank_TPhi
 from .potentials import parse_potential
 from .qlambda import q_norm_bound, q_spectrum
@@ -40,13 +41,20 @@ def _check_step_doubling():
 
 
 def _check_band_dirichlet():
+    """Delta is 1 at alpha_1 and (-1)^k at beta_k, alpha_(k+1) and the k-th
+    Dirichlet eigenvalue, which all bound gap k; checked through the
+    independent step-doubled discriminant, so a wrong, missing or extra
+    eigenvalue breaks the values or the sign pattern."""
     worst = 0.0
     for spec, lmax in (("zero", 250.0), ("mathieu:20", 200.0)):
         V = parse_potential(spec)
         edges = [e for b in hill_bands(V, lmax) for e in (b.alpha, b.beta)]
-        for d in dirichlet_eigenvalues(V, lmax):
-            worst = max(worst, min(abs(d - e) for e in edges))
-    return worst <= 1e-6, f"max Dirichlet/edge mismatch {worst:.2e}"
+        dirs = dirichlet_eigenvalues(V, lmax)
+        want = [(-1.0) ** ((j + 1) // 2) for j in range(len(edges))]
+        want += [(-1.0) ** k for k in range(1, len(dirs) + 1)]
+        delta = discriminant_batch(V, edges + dirs, 2 * DEFAULT_STEPS)
+        worst = max(worst, float(np.max(np.abs(delta - want))))
+    return worst <= 1e-8, f"max |Delta - (-1)^k| at band edges and Dirichlet points {worst:.2e}"
 
 
 def _check_det_tr():

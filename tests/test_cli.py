@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hexspec.cli import main
@@ -101,3 +102,14 @@ def test_loopstate_json(tmp_path):
 
 def test_loopstate_bad_index():
     assert main(["loopstate", "--phi", "0.5", "--lambda-index", "999"]) == 1
+
+
+def test_loopstate_finds_close_dirichlet_pair(tmp_path):
+    # the lowest Dirichlet pair of this double well is 0.018 apart
+    t = np.linspace(0.0, 1.0, 401)
+    well = tmp_path / "well.txt"
+    np.savetxt(well, 3000.0 * np.exp(-(((t - 0.5) / 0.06) ** 2)), fmt="%.17g")
+    out = tmp_path / "state.json"
+    assert main(["loopstate", "--phi", str(math.pi / 2), "--potential", f"file:{well}",
+                 "--lambda-index", "1", "--lambda-max", "200", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["dirichlet_lambda"] == pytest.approx(52.046, abs=2e-3)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hexspec import graph, hill
 from hexspec.errors import DomainError
 from hexspec.flux import Flux
 from hexspec.graph import butterfly, dirac_points, graph_spectrum, local_symmetry_check
@@ -81,7 +82,11 @@ def test_dirac_point_in_spectrum_for_sampled_fluxes():
 
 
 def test_local_symmetry_check():
-    assert local_symmetry_check(V0, Flux.rational(1, 2), 1)["symmetric"]
+    report = local_symmetry_check(V0, Flux.rational(1, 2), 1)
+    assert report["symmetric"]
+    # the batched Delta has the bits of the scalar, step-doubled one
+    lo, hi = graph_spectrum(V0, Flux.rational(1, 2), 1)[0].continuous_bands.intervals[0]
+    assert {discriminant(V0, lo), discriminant(V0, hi)} <= set(report["delta_image_endpoints"])
     assert local_symmetry_check(V0, Flux.rational(0, 1), 1)["symmetric"]
     assert local_symmetry_check(VM, Flux.rational(2, 5), 2)["symmetric"]
 
@@ -130,6 +135,15 @@ def test_butterfly_columns_equal_graph_spectrum():
                 assert tuple(sorted(cols[(p, q, g.hill_band_index)])) == (
                     g.continuous_bands.intervals
                 )
+
+
+def test_hill_side_makes_one_counting_pass():
+    # the bands and the Dirichlet lines come from one cached pass
+    hill._eigenvalues.cache_clear()
+    bands, _, dirs = graph._hill_side.__wrapped__(VM, 2)
+    info = hill._eigenvalues.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert len(bands) == 2 and dirs[0] in (bands[0].beta, bands[1].alpha)
 
 
 def test_butterfly_threaded_is_deterministic():

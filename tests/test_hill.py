@@ -30,6 +30,7 @@ def rk4_calls(monkeypatch):
     root finding where wall time is too noisy to."""
     calls = []
     kernel = hill._rk4_loop
+    hill._eigenvalues.cache_clear()  # a cached counting pass makes no call
 
     def counted(*args):
         calls.append(1)
@@ -125,15 +126,44 @@ def test_dirichlet_eigenvalues_at_band_edges():
             assert abs(abs(discriminant(V, d)) - 1.0) < 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="two Dirichlet eigenvalues 0.018 apart give no "
-                   "sign change on the 0.25 grid; eigenvalue counting, ROADMAP item 3")
-def test_double_well_close_pairs():
+def _double_well():
     t = np.linspace(0.0, 1.0, 401)
-    V = PotentialSpec.tabulated(3000.0 * np.exp(-(((t - 0.5) / 0.06) ** 2)))
-    # reference: 4000-point finite differences give 52.0462 and 52.0642
+    return PotentialSpec.tabulated(3000.0 * np.exp(-(((t - 0.5) / 0.06) ** 2)))
+
+
+def test_double_well_close_pairs():
+    # pairs 0.004 and 0.018 apart, which a 0.25 grid of sign changes misses;
+    # reference: 4000-point finite differences give Neumann 13.045 and
+    # 13.049, Dirichlet 52.0462 and 52.0642
+    V = _double_well()
     dirs = dirichlet_eigenvalues(V, 200.0)
     assert len(dirs) == 2
     assert dirs == pytest.approx([52.046, 52.064], abs=2e-3)
+    band1 = hill_bands(V, 200.0)[0]  # its edges are the two lowest Neumann ones
+    assert [band1.alpha, band1.beta] == pytest.approx([13.045, 13.049], abs=2e-3)
+
+
+def test_counting_range_is_enforced():
+    # above 1e5 the 4096-step kernel no longer resolves the oscillation
+    with pytest.raises(DomainError):
+        hill_bands(V0, 1.5e5)
+    with pytest.raises(DomainError):
+        dirichlet_eigenvalues(V0, 1.5e5)
+
+
+@pytest.mark.parametrize("V,n", [(V0, 5), (VM, 3), (_double_well(), 3)])
+def test_hill_bands_first_n_is_one_pass(monkeypatch, V, n):
+    windows = []
+    bands_upto = hill.hill_bands
+
+    def recorded(V, lambda_max, *args):
+        windows.append(lambda_max)
+        return bands_upto(V, lambda_max, *args)
+
+    monkeypatch.setattr(hill, "hill_bands", recorded)
+    bands = hill_bands_first_n(V, n)
+    assert windows == [n ** 2 * math.pi ** 2 + V.max_value + 1.0]
+    assert [b.index for b in bands] == list(range(1, n + 1))
 
 
 @st.composite
@@ -216,3 +246,13 @@ def test_band_inverter_maps_edge_values_to_edges():
             w = discriminant_batch(V, [band.alpha, band.beta])
             got = BandInverter(V, band)(w)
             assert np.max(np.abs(got - [band.alpha, band.beta])) < 1e-5
+
+
+def test_band_inverter_maps_unit_targets_to_edges_exactly():
+    # at the closed gaps of V=0, Delta' = 0 at the edges, so a 1e-15 error
+    # of the model there would move the crossing of +-1 by ~1e-7
+    for V, n in ((V0, 5), (VM, 3)):
+        for band in hill_bands_first_n(V, n):
+            got = BandInverter(V, band)([1.0, -1.0])
+            ends = [band.alpha, band.beta]
+            assert got.tolist() == (ends if band.monotonicity == "decreasing" else ends[::-1])

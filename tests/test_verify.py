@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hexspec import jacobi, verify
 
@@ -15,4 +16,21 @@ def test_trace_identity_check_fails_on_perturbed_product(monkeypatch):
         jacobi, "transfer_D_product", lambda *args: exact(*args) @ tilt
     )
     ok, detail = verify._check_trace_identity()
+    assert not ok, detail
+
+
+def test_band_dirichlet_check_passes():
+    ok, detail = verify._check_band_dirichlet()
+    assert ok, detail
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda dirs: [d + 1e-6 for d in dirs],  # off the open gaps of mathieu:20
+    lambda dirs: dirs[1:],  # one missing: the sign pattern breaks
+])
+def test_band_dirichlet_check_fails_on_perturbed_eigenvalues(monkeypatch, perturb):
+    exact = verify.dirichlet_eigenvalues
+    monkeypatch.setattr(verify, "dirichlet_eigenvalues",
+                        lambda *args: perturb(exact(*args)))
+    ok, detail = verify._check_band_dirichlet()
     assert not ok, detail
