@@ -20,8 +20,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--flux", default="golden")
     ap.add_argument("--lambdas", default="-6:10:33", help="a:b:n grid")
-    ap.add_argument("--theta-samples", type=int, default=256)
-    ap.add_argument("--max-n", type=int, default=2 ** 14)
+    ap.add_argument("--theta-samples", type=int, default=256,
+                    help="midpoint quadrature nodes in x = q theta")
+    ap.add_argument("--max-n", type=int, default=2 ** 14,
+                    help="largest convergent denominator q")
     ap.add_argument("--cover-level", type=int, default=8)
     ap.add_argument("--c2", type=float, default=2.0)
     args = ap.parse_args()

@@ -233,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flux", default="golden")
     p.add_argument("--lambdas", default="-6:10:17",
                    help="comma list or lo:hi:n range")
-    p.add_argument("--theta-samples", type=int, default=256)
-    p.add_argument("--max-n", type=int, default=2 ** 14)
-    p.add_argument("--tolerance", type=float, default=5e-3)
+    p.add_argument("--theta-samples", type=int, default=256, help="quadrature nodes")
+    p.add_argument("--max-n", type=int, default=2 ** 14, help="largest denominator q")
+    p.add_argument("--tolerance", type=float, default=5e-3, help="convergent Cauchy test")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_lyapunov)
 

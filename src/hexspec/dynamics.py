@@ -1,6 +1,5 @@
-"""Transfer-matrix dynamics: theta-averaged Lyapunov exponents of the D-cocycle,
-complexified phases and acceleration quantization, and certified covers of the
-irrational-flux spectrum built from continued-fraction convergents."""
+"""Transfer-matrix dynamics: Lyapunov exponents from Chambers' relation, complexified
+phases and acceleration, and convergent covers of the irrational-flux spectrum."""
 
 from __future__ import annotations
 
@@ -12,14 +11,13 @@ import numpy as np
 from .errors import DomainError
 from .flux import Flux, continued_fraction
 from .intervals import BandList
-from .jacobi import _d_product, _frobenius, rational_spectrum
-
-#: irrational offset of the theta grid, keeps it off the singular lattice
-THETA_OFFSET = 1.0 / math.sqrt(5.0)
+from .jacobi import _d_product, rational_spectrum
 
 
 @dataclass(frozen=True)
 class CocycleConfig:
+    """theta_samples: midpoint quadrature nodes in x = q theta; max_n: largest
+    convergent denominator q; tolerance: Cauchy test between consecutive ones."""
     flux: Flux
     theta_samples: int = 256
     max_n: int = 2 ** 14
@@ -56,42 +54,46 @@ class CoverEstimate:
     bound: float
 
 
-def _le_average(lam: complex, alpha: float, eps: float, n: int, m: int) -> float:
-    """(1/n) E_theta log ||D_n(theta + i eps)|| over an m-point theta grid.
+def _rational_le(lam: float, p: int, q: int, eps: float, m: int) -> float:
+    """Exact exponent at flux p/q, theta shifted by i*eps: (1/q) E_x log rho on
+    m midpoint nodes, rho the spectral radius of tr = G_q - 2cos 2 pi z, det =
+    2 - 2(-1)^q cos 2 pi z at z = x + i q eps (Chambers).  G_q = tr D_q(1/(4q))
+    comes as a mantissa times e^ls, and e^-k scales every term against overflow."""
+    a, _, _, d, ls = _d_product(lam, 1.0 / (4.0 * q), p / q, q, renorm=True)
+    k = max(float(ls), 2.0 * math.pi * q * abs(eps))
+    z = (np.arange(m) + 0.5) / m + 1j * q * eps
+    two_cos = np.exp(2j * np.pi * z - k) + np.exp(-2j * np.pi * z - k)
+    tr = (a + d) * math.exp(ls - k) - two_cos
+    det = 2.0 * math.exp(-2.0 * k) - (-1) ** q * math.exp(-k) * two_cos
+    s = np.sqrt(tr * tr - 4.0 * det)
+    rho = 0.5 * np.maximum(np.abs(tr + s), np.abs(tr - s))
+    return (k + float(np.mean(np.log(rho)))) / q
 
-    Entries use the analytic continuations c(theta) = 1 + e^{-2 pi i theta}
-    and cbar(theta) = 1 + e^{2 pi i theta}; no correction term is needed since
-    the mean of log|c| over the circle is exactly zero.
-    """
-    theta = THETA_OFFSET + np.arange(m) / m + 1j * eps
-    a, b, c, d, total = _d_product(lam, theta, alpha, n, renorm=True)
-    total += np.log(np.maximum(_frobenius(a, b, c, d), 1e-300))
-    return float(np.mean(total)) / n
 
-
-def complexified_le(
-    lam: float, flux: Flux, epsilon: float, config: CocycleConfig | None = None
-) -> LyapunovEstimate:
-    """Lyapunov exponent of the cocycle with theta shifted by i*epsilon,
-    doubling the product length (and theta grid) until stable."""
+def complexified_le(lam: float, flux: Flux, epsilon: float,
+                    config: CocycleConfig | None = None) -> LyapunovEstimate:
+    """Exponent with theta shifted by i*epsilon: exact at rational flux or at a
+    continued fraction ending by q = max_n, else along the convergents with
+    max_n/16 <= q <= max_n until two agree within the tolerance (n_used = q)."""
     if config is None:
         config = CocycleConfig(flux=flux)
-    alpha = flux.alpha
-    n = max(1024, config.max_n // 16)
     m = config.theta_samples
-    prev = _le_average(lam, alpha, epsilon, n, m)
-    while n < config.max_n:
-        n *= 2
-        m *= 2
-        cur = _le_average(lam, alpha, epsilon, n, m)
-        if abs(cur - prev) < config.tolerance:
-            return LyapunovEstimate(cur, True, n)
+    conv = ([(flux.p, flux.q)] if flux.is_rational else
+            [(0, 1)] + [c for c in flux.convergents if c[1] <= config.max_n])
+    p, q = conv[-1]
+    if (p / q - flux.alpha) % 1.0 == 0.0:
+        return LyapunovEstimate(_rational_le(lam, p, q, epsilon, m), True, q)
+    prev = None
+    for p, q in [c for c in conv if c[1] >= config.max_n // 16] or conv[-1:]:
+        cur = _rational_le(lam, p, q, epsilon, m)
+        if prev is not None and abs(cur - prev) < config.tolerance:
+            return LyapunovEstimate(cur, True, q)
         prev = cur
-    return LyapunovEstimate(prev, False, n)
+    return LyapunovEstimate(cur, False, q)
 
 
 def lyapunov(lam: float, config: CocycleConfig) -> LyapunovEstimate:
-    """theta-averaged Lyapunov exponent L(lambda, Phi) of the D-cocycle."""
+    """Lyapunov exponent L(lambda, Phi) of the D-cocycle."""
     return complexified_le(lam, config.flux, 0.0, config)
 
 

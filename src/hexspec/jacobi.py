@@ -19,8 +19,6 @@ THETA_LATTICE_TOL = 1e-12
 #: renormalize long D-cocycle products every this many steps
 RENORM_EVERY = 8
 
-#: default Chambers evaluation angle is 1/(4q); see chambers_Gq
-
 
 def coeff_c(theta) -> complex:
     """Off-diagonal coefficient c(theta) = 1 + e^{-2 pi i theta}."""
@@ -71,14 +69,11 @@ def _d_product(lam, theta, alpha: float, n: int, renorm: bool = False):
         w = 1.0 + np.exp(-two_pi_i * th)
         a, b, c, d = t * a + u * c, t * b + u * d, w * a, w * b
         if renorm and (j + 1) % RENORM_EVERY == 0:
-            nrm = np.maximum(_frobenius(a, b, c, d), 1e-300)
+            nrm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2)
+            nrm = np.maximum(nrm, 1e-300)
             log_scale += np.log(nrm)
             a, b, c, d = a / nrm, b / nrm, c / nrm, d / nrm
     return a, b, c, d, log_scale
-
-
-def _frobenius(a, b, c, d):
-    return np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2)
 
 
 def transfer_D_product(lam: float, theta: float, flux: Flux, n: int) -> np.ndarray:

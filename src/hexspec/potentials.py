@@ -115,6 +115,9 @@ def parse_potential(spec: str) -> PotentialSpec:
         path = Path(spec.split(":", 1)[1])
         if not path.is_file():
             raise DomainError(f"potential file not found: {path}")
-        values = [float(line) for line in path.read_text().split()]
+        try:
+            values = [float(line) for line in path.read_text().split()]
+        except ValueError as exc:
+            raise DomainError(f"non-numeric sample in potential file {path}") from exc
         return PotentialSpec.tabulated(values)
     raise DomainError(f"cannot parse potential {spec!r}")

@@ -201,17 +201,18 @@ def test_criterion_9_lyapunov_dichotomy():
         cfg = CocycleConfig(flux=golden_flux())
         on = lyapunov(0.0, cfg)
         off = lyapunov(10.0, cfg)
+        dirac = abs(lyapunov(-3.0, cfg).value)
         r.detail = (f"L(0) = {on.value:.4f} fails the |L(0)| < 0.02 "
                     f"requirement: 0 lies in a spectral gap at golden flux; "
                     f"the Dirac-point energy is lambda = -3, where "
-                    f"|L| = 0.0053. L(10) = {off.value:.3f}")
+                    f"|L| = {dirac:.2g}. L(10) = {off.value:.3f}")
         r.ok = abs(on.value) < 0.02 and off.value > 0.2
         assert off.value > 0.2
         assert abs(on.value) < 0.02, (
             "lambda=0 sits in a gap of the golden-flux spectrum (nearest band "
             "edge ~0.19 away along all convergents), so its Lyapunov exponent "
             "is genuinely positive; the on-spectrum energy lambda=-3 gives "
-            f"|L| = {abs(lyapunov(-3.0, cfg).value):.4f} < 0.02"
+            f"|L| = {dirac:.2g} < 0.02"
         )
 
 

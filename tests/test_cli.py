@@ -36,6 +36,13 @@ def test_bands_bad_flux_exit_code():
     assert rc == 1
 
 
+def test_bands_non_numeric_potential_file(tmp_path, capsys):
+    bad = tmp_path / "v.txt"
+    bad.write_text("0.0\nnp.float64(1.0)\n0.0\n")
+    assert main(["bands", "--flux", "1/2", "--potential", f"file:{bad}"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_butterfly_artifacts_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexspec.dynamics import (
-    THETA_OFFSET,
     CocycleConfig,
-    _le_average,
     acceleration,
     complexified_le,
     holder_probe,
@@ -15,8 +13,8 @@ from hexspec.dynamics import (
     lyapunov,
 )
 from hexspec.errors import DomainError
-from hexspec.flux import GOLDEN_MEAN, Flux, continued_fraction, golden_flux
-from hexspec.jacobi import coeff_c, rational_spectrum, transfer_D_product
+from hexspec.flux import GOLDEN_MEAN, Flux, continued_fraction, golden_flux, reduced_fractions
+from hexspec.jacobi import _d_product, coeff_c, rational_spectrum
 
 GOLD = golden_flux()
 
@@ -76,17 +74,40 @@ def test_lyapunov_rational_flux_on_spectrum():
     assert lyapunov(0.0, cfg).value > 0.2
 
 
-def test_le_average_matches_unrenormalized_product():
-    # RENORM_EVERY divides n, so the renormalized product is rescaled twice
-    n, m = 16, 64
-    thetas = THETA_OFFSET + np.arange(m) / m
-    for flux in (GOLD, Flux.rational(2, 7)):
-        for lam in (-3.0, 0.5, 4.0):
-            logs = [np.log(np.linalg.norm(transfer_D_product(lam, th, flux, n)))
-                    for th in thetas]
-            assert _le_average(lam, flux.alpha, 0.0, n, m) == pytest.approx(
-                np.mean(logs) / n, abs=1e-12
-            )
+def test_rational_le_matches_eigenvalues_of_product():
+    # Chambers' trace and the closed-form determinant against the spectral
+    # radius of the unrenormalised product, on the same midpoint nodes x
+    m = 256
+    x = (np.arange(m) + 0.5) / m
+    cfg = CocycleConfig(flux=GOLD, theta_samples=m)
+    for p, q in reduced_fractions(12):
+        for lam in (-3.0, 0.7, 4.5):
+            for eps in (0.0, 0.3, -1.0):
+                a, b, c, d, _ = _d_product(lam, x / q + 1j * eps, p / q, q)
+                mats = np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+                rho = np.max(np.abs(np.linalg.eigvals(mats)), axis=-1)
+                est = complexified_le(lam, Flux.rational(p, q), eps, cfg)
+                assert est.converged and est.n_used == q
+                assert est.value == pytest.approx(np.mean(np.log(rho)) / q, rel=1e-10)
+
+
+def test_le_in_log_scale_at_large_q():
+    # q L(10) ~ 15000 and 2 pi q eps ~ 85000 would overflow a plain G_q
+    big, small = Flux.rational(4181, 6765), Flux.rational(1597, 2584)
+    l_big = complexified_le(10.0, big, 0.0).value
+    assert math.isfinite(l_big)
+    assert l_big == pytest.approx(complexified_le(10.0, small, 0.0).value, abs=1e-6)
+    assert complexified_le(0.0, big, 2.0).value == pytest.approx(4.0 * math.pi, abs=1e-9)
+    # L vanishes at the Dirac energy, like 0.65/q along the convergents
+    assert lyapunov(-3.0, CocycleConfig(flux=GOLD)).value < 1e-3
+
+
+@pytest.mark.parametrize("value,p,q", [(0.5, 1, 2), (0.0, 0, 1)])
+def test_terminating_real_flux_is_exact(value, p, q):
+    for lam in (-3.0, 1.0):
+        est = lyapunov(lam, CocycleConfig(flux=Flux.real(value)))
+        exact = lyapunov(lam, CocycleConfig(flux=Flux.rational(p, q)))
+        assert est == exact and est.converged and est.n_used == q
 
 
 def test_complexified_le_matches_at_zero():
