@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import DomainError
 
@@ -107,7 +108,8 @@ def reduced_fractions(q_max: int) -> list[tuple[int, int]]:
 
 
 def parse_flux(text: str) -> Flux:
-    """Parse "golden", "p/q", or a decimal into a Flux."""
+    """Parse "golden", "p/q", or a decimal into a Flux; a decimal is taken
+    mod 1, as the spectrum is periodic in the flux with period 1."""
     text = text.strip()
     if text == "golden":
         return golden_flux()
@@ -118,7 +120,7 @@ def parse_flux(text: str) -> Flux:
         except ValueError as exc:
             raise DomainError(f"bad rational flux {text!r}") from exc
     try:
-        value = float(text)
+        value = Fraction(text) % 1  # exactly: 2.3 - 2 is 0.2999999999999998
     except ValueError as exc:
         raise DomainError(f"bad flux {text!r}") from exc
-    return Flux.real(value)
+    return Flux.real(float(value))

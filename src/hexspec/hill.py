@@ -8,7 +8,8 @@ evenness of V equals c(1).
 Eigenvalues are found by Sturm oscillation counting: the zeros of s on
 (0, 1) count the Dirichlet eigenvalues below lambda, and the zeros of c plus
 [c(1) c'(1) < 0] count the Neumann ones.  The counts are exact integers, so
-bisecting on them finds every eigenvalue, however close to its neighbour.
+cutting brackets on them finds every eigenvalue, however close to its
+neighbour.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ _COUNT_GRID = 64
 
 @dataclass(frozen=True)
 class MonodromySolution:
-    """Values of the fundamental solutions at t=1 for a single energy."""
+    """Values of the fundamental solutions at t=1: floats for one energy,
+    arrays of its shape for an array of energies."""
 
     lam: float
     c1: float
@@ -115,23 +117,19 @@ def _rk4_fundamental(V: PotentialSpec, lams: np.ndarray, steps: int):
 
 
 def integrate_monodromy(
-    V: PotentialSpec, lam: float, steps: int = DEFAULT_STEPS
+    V: PotentialSpec, lam, steps: int = DEFAULT_STEPS
 ) -> MonodromySolution:
-    """Monodromy data at one energy, with a step-doubling error estimate."""
+    """Monodromy data at one energy or an array of them, in one integration
+    per step count, with a step-doubling error estimate."""
     if steps < 64:
         raise DomainError("steps must be >= 64")
-    lams = np.array([float(lam)])
-    c1, c1p, s1, s1p = (x[0] for x in _rk4_fundamental(V, lams, steps)[:4])
-    s1p_fine = _rk4_fundamental(V, lams, 2 * steps)[3][0]
-    return MonodromySolution(
-        lam=float(lam),
-        c1=float(c1),
-        c1p=float(c1p),
-        s1=float(s1),
-        s1p=float(s1p_fine),
-        delta=float(s1p_fine),
-        step_error=abs(float(s1p) - float(s1p_fine)),
-    )
+    lams = np.asarray(lam, dtype=float)
+    c1, c1p, s1, s1p = _rk4_fundamental(V, lams, steps)[:4]
+    s1p_fine = _rk4_fundamental(V, lams, 2 * steps)[3]
+    fields = (lams, c1, c1p, s1, s1p_fine, s1p_fine, np.abs(s1p - s1p_fine))
+    if lams.ndim == 0:
+        fields = tuple(x.item() for x in fields)
+    return MonodromySolution(*fields)
 
 
 def discriminant(V: PotentialSpec, lam: float, steps: int = DEFAULT_STEPS) -> float:
@@ -145,69 +143,50 @@ def discriminant_batch(
     return _rk4_fundamental(V, np.asarray(lams, dtype=float), steps)[3]
 
 
-# Halvings per integration in _bisect_many.  Without numba the 4096-step
+# Halvings per call of f in _bisect_many.  Without numba the 4096-step
 # kernel costs about the same for up to ~63 energies as for one, and more
-# beyond; timed at n * (2**L - 1) energies for n = 1, 5 and 11 brackets,
+# beyond, so 2**6 parts (63 cuts) per bracket buy six halvings for the cost
+# of one; timed at n * (2**L - 1) energies for n = 1, 5 and 11 brackets,
 # L = 6 gave the least total kernel time.
 _LEVELS = 6
 _MAX_HALVINGS = 60
 
 
 def _bisect_many(f, lo, hi, increasing, xtol, levels=_LEVELS):
-    """Bisection on many brackets at once.
+    """Multisection on many brackets at once; returns the midpoints of the
+    final brackets.
 
     `increasing` says, per bracket or for all, which way f crosses zero.
-    Before each halving the bisection stops if no bracket is wider than
-    xtol; there are at most 60 halvings, which leave any bracket here a few
-    ulp wide.
-
-    One call of f serves `levels` halvings of every bracket.  Each bracket
-    is first refined `levels` times by midpoints, computed exactly as the
-    halvings compute them, and f maps this table of 2**levels - 1 lambdas
-    (one row per midpoint, one column per bracket) to values of the same
-    shape.  The halvings are then replayed from the table, so the result
-    has the same bits for every `levels`, with `levels` times fewer calls
-    of f.  Refinement stops early once no bracket of the table is wider
-    than xtol, since no later halving can be asked for.
+    Each call of f cuts every bracket into 2**levels equal parts: f maps
+    the cuts lo + (j / 2**levels) (hi - lo), j = 1 .. 2**levels - 1 (one
+    row per cut, one column per bracket), to values of the same shape.  If
+    f is below zero (above, where it decreases) at k of the cuts, part
+    k + 1 is the new bracket.  The last round cuts only as finely as xtol
+    needs.  Rounds stop once no bracket is wider than xtol, or after 60
+    halvings, which leave any bracket here a few ulp wide.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     sign = np.where(increasing, 1.0, -1.0)
-    cols = np.arange(lo.size)
-    mid = 0.5 * (lo + hi)
     halvings = 0
     while halvings < _MAX_HALVINGS and np.max(hi - lo, initial=0.0) > xtol:
-        # table holds, level by level, the midpoints the next halvings can
-        # ask for, one column per bracket: 1, 2, 4, ... rows, where the
-        # halves of row k have their midpoints in rows 2k + 1 and 2k + 2
-        ends, table, depth = (lo, hi), mid[None], 1
-        while depth < min(levels, _MAX_HALVINGS - halvings):
-            finer = np.empty((2 * len(ends) - 1, lo.size))
-            finer[::2], finer[1::2] = ends, table[len(ends) - 2:]
-            ends = finer
-            if np.max(ends[1:] - ends[:-1]) <= xtol:
-                break
-            table = np.concatenate((table, 0.5 * (ends[:-1] + ends[1:])))
-            depth += 1
-        below = sign * f(table) < 0.0
-        row, go_right = 0, below[0]
-        for level in range(1, depth + 1):
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
-            mid = 0.5 * (lo + hi)
-            halvings += 1
-            if level == depth or np.max(hi - lo) <= xtol:
-                break
-            row = 2 * row + 1 + go_right
-            go_right = below[row, cols]
-    return mid
+        depth = min(levels, _MAX_HALVINGS - halvings)
+        while depth > 1 and np.max(hi - lo) <= xtol * 2 ** (depth - 1):
+            depth -= 1
+        parts = 2 ** depth
+        step = (hi - lo) / parts  # exact: a power of two
+        below = sign * f(lo + np.arange(1, parts)[:, None] * step) < 0.0
+        k = np.sum(below, axis=0)
+        lo, hi = lo + k * step, np.where(k + 1 < parts, lo + (k + 1) * step, hi)
+        halvings += depth
+    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=16)
 def _eigenvalues(V: PotentialSpec, lambda_max: float, steps: int):
     """Neumann and Dirichlet eigenvalues below lambda_max, as two sorted
     tuples.  One call counts at _COUNT_GRID energies, which brackets each
-    eigenvalue between two of them; one bisection on "count >= k" then
+    eigenvalue between two of them; one multisection on "count >= k" then
     refines all brackets at once.  Cached, so the bands and the Dirichlet
     eigenvalues of one window cost one pass."""
     if lambda_max > COUNT_LAMBDA_MAX * (steps / DEFAULT_STEPS) ** 2:
@@ -279,18 +258,23 @@ def dirichlet_eigenvalues(
 
 
 def invert_discriminant_on_band(
-    V: PotentialSpec, band: HillBand, w: float, steps: int = DEFAULT_STEPS
-) -> float:
-    """The unique lambda in the band with Delta(lambda) = w, |w| <= 1."""
-    if not -1.0 <= w <= 1.0:
+    V: PotentialSpec, band: HillBand, w, steps: int = DEFAULT_STEPS
+):
+    """The unique lambda in the band with Delta(lambda) = w, |w| <= 1: a
+    float for one target, an array of its shape for an array of targets."""
+    w = np.asarray(w, dtype=float)
+    if not np.all((-1.0 <= w) & (w <= 1.0)):
         raise DomainError(f"discriminant target {w} outside [-1, 1]")
-    fa, fb = discriminant_batch(V, [band.alpha, band.beta], steps) - w
-    if fa * fb >= 0.0:
-        # w at (or numerically beyond) an edge value
-        return band.alpha if abs(fa) <= abs(fb) else band.beta
+    targets = w.ravel()
+    fa, fb = discriminant_batch(V, [band.alpha, band.beta], steps)[:, None] - targets
     increasing = band.monotonicity == "increasing"
-    return float(_bisect_many(lambda lams: discriminant_batch(V, lams, steps) - w,
-                              [band.alpha], [band.beta], increasing, xtol=1e-13)[0])
+    lam = _bisect_many(lambda lams: discriminant_batch(V, lams, steps) - targets,
+                       np.full(w.size, band.alpha), np.full(w.size, band.beta),
+                       increasing, xtol=1e-13)
+    # w at (or numerically beyond) an edge value
+    edge = np.where(np.abs(fa) <= np.abs(fb), band.alpha, band.beta)
+    lam = np.where(fa * fb < 0.0, lam, edge).reshape(w.shape)
+    return float(lam) if w.ndim == 0 else lam
 
 
 class BandInverter:
@@ -318,9 +302,9 @@ class BandInverter:
         w = np.clip(w, -1.0, 1.0)
         lo = np.full(w.size, self.band.alpha)
         hi = np.full(w.size, self.band.beta)
-        # xtol 0: always the full 60 halvings.  One level per call of the
-        # spline: its cost grows with the number of points, so a table of
-        # 2**L - 1 points per target would cost more than it saves.
+        # xtol 0: always the full 60 halvings.  One cut per call of the
+        # spline: its cost grows with the number of points, so 2**L - 1
+        # cuts per target would cost more than they save.
         lam = _bisect_many(lambda lam: self._spline(lam) - w.ravel(), lo, hi,
                            self._increasing, xtol=0.0, levels=1)
         # Delta = +-1 at the edges by definition; at a closed gap, where

@@ -43,6 +43,12 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_verify_passes(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13 and all(ln.startswith("[PASS]") for ln in lines)
+
+
 def test_butterfly_artifacts_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -13,7 +13,8 @@ from hexspec.dynamics import (
     lyapunov,
 )
 from hexspec.errors import DomainError
-from hexspec.flux import GOLDEN_MEAN, Flux, continued_fraction, golden_flux, reduced_fractions
+from hexspec.flux import (GOLDEN_MEAN, Flux, continued_fraction, golden_flux, parse_flux,
+                          reduced_fractions)
 from hexspec.jacobi import _d_product, coeff_c, rational_spectrum
 
 GOLD = golden_flux()
@@ -108,6 +109,14 @@ def test_terminating_real_flux_is_exact(value, p, q):
         est = lyapunov(lam, CocycleConfig(flux=Flux.real(value)))
         exact = lyapunov(lam, CocycleConfig(flux=Flux.rational(p, q)))
         assert est == exact and est.converged and est.n_used == q
+
+
+def test_decimal_flux_is_reduced_exactly():
+    # as floats 2.3 - 2 = 0.2999999999999998, whose next convergent after
+    # 3/10 has q ~ 6e14
+    est = lyapunov(1.0, CocycleConfig(flux=parse_flux("2.3")))
+    assert est == lyapunov(1.0, CocycleConfig(flux=parse_flux("0.3")))
+    assert est.converged and est.n_used == 10
 
 
 def test_complexified_le_matches_at_zero():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hexspec import hill
 from hexspec.errors import DomainError
 from hexspec.hill import (
+    DEFAULT_STEPS,
     BandInverter,
     _bisect_many,
     dirichlet_eigenvalues,
@@ -25,16 +27,17 @@ VM = parse_potential("mathieu:20")
 
 @pytest.fixture
 def rk4_calls(monkeypatch):
-    """Counts calls of the integrator kernel; each one costs about as much
-    for a few hundred energies as for one, so the count guards the cost of
-    root finding where wall time is too noisy to."""
+    """Records the number of energies in each call of the integrator kernel;
+    a call costs about as much for a few hundred energies as for one, so the
+    calls and their energies guard the cost of root finding where wall time
+    is too noisy to."""
     calls = []
     kernel = hill._rk4_loop
     hill._eigenvalues.cache_clear()  # a cached counting pass makes no call
 
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
+    def counted(Vn, lams, steps):
+        calls.append(lams.size)
+        return kernel(Vn, lams, steps)
 
     monkeypatch.setattr(hill, "_rk4_loop", counted)
     return calls
@@ -67,13 +70,21 @@ def test_monodromy_rejects_too_few_steps():
         integrate_monodromy(V0, 1.0, steps=32)
 
 
-@settings(max_examples=30, deadline=None)
-@given(lam=st.floats(-5.0, 120.0))
-def test_wronskian_property(lam):
+@settings(max_examples=5, deadline=None)
+@given(lams=st.lists(st.floats(-5.0, 120.0), min_size=1, max_size=30))
+def test_wronskian_property(lams):
     for V in (V0, VM):
-        sol = integrate_monodromy(V, lam)
-        assert abs(sol.wronskian - 1.0) <= 1e-9
-        assert abs(sol.c1 - sol.s1p) <= 1e-9
+        sol = integrate_monodromy(V, lams)
+        assert np.max(np.abs(sol.wronskian - 1.0)) <= 1e-9
+        assert np.max(np.abs(sol.c1 - sol.s1p)) <= 1e-9
+
+
+def test_monodromy_batch_matches_scalar():
+    lams = [-3.0, 10.0, 57.5]
+    rows = zip(*astuple(integrate_monodromy(VM, lams)))
+    for lam, row in zip(lams, rows):
+        one = integrate_monodromy(VM, lam)
+        assert isinstance(one.delta, float) and astuple(one) == row
 
 
 def test_discriminant_zero_potential_values():
@@ -84,6 +95,7 @@ def test_discriminant_zero_potential_values():
 def test_hill_bands_zero_potential(rk4_calls):
     bands = hill_bands(V0, 25 * math.pi ** 2 + 1.0)
     assert len(rk4_calls) <= 8  # 78 with one integration per halving
+    assert sum(rk4_calls) <= 4915
     assert len(bands) >= 5
     for k, b in enumerate(bands[:5], start=1):
         assert b.alpha == pytest.approx(math.pi ** 2 * (k - 1) ** 2, abs=1e-8)
@@ -94,9 +106,9 @@ def test_hill_bands_zero_potential(rk4_calls):
 
 def test_hill_band_edges_have_unit_discriminant():
     for V, lmax in ((V0, 100.0), (VM, 200.0)):
-        for b in hill_bands(V, lmax):
-            assert abs(abs(discriminant(V, b.alpha)) - 1.0) < 1e-8
-            assert abs(abs(discriminant(V, b.beta)) - 1.0) < 1e-8
+        edges = [e for b in hill_bands(V, lmax) for e in (b.alpha, b.beta)]
+        delta = discriminant_batch(V, edges, 2 * DEFAULT_STEPS)
+        assert np.max(np.abs(np.abs(delta) - 1.0)) < 1e-8
 
 
 def test_mathieu_bands_have_open_gaps():
@@ -113,6 +125,7 @@ def test_hill_bands_empty_below_first_band():
 def test_dirichlet_eigenvalues_zero_potential(rk4_calls):
     dirs = dirichlet_eigenvalues(V0, 100.0)
     assert len(rk4_calls) <= 10
+    assert sum(rk4_calls) <= 2927
     expected = [k ** 2 * math.pi ** 2 for k in (1, 2, 3)]
     assert len(dirs) == 3
     assert np.allclose(dirs, expected, atol=1e-8)
@@ -121,9 +134,11 @@ def test_dirichlet_eigenvalues_zero_potential(rk4_calls):
 def test_dirichlet_eigenvalues_at_band_edges():
     for V, lmax in ((V0, 150.0), (VM, 200.0)):
         edges = [e for b in hill_bands(V, lmax) for e in (b.alpha, b.beta)]
-        for d in dirichlet_eigenvalues(V, lmax):
+        dirs = dirichlet_eigenvalues(V, lmax)
+        for d in dirs:
             assert min(abs(d - e) for e in edges) < 1e-6
-            assert abs(abs(discriminant(V, d)) - 1.0) < 1e-8
+        delta = discriminant_batch(V, dirs, 2 * DEFAULT_STEPS)
+        assert np.max(np.abs(np.abs(delta) - 1.0)) < 1e-8
 
 
 def _double_well():
@@ -182,24 +197,31 @@ def _brackets(draw):
     return lo, hi, root, slope, increasing
 
 
+_CASE = tuple(np.array([x]) for x in (-96.02824536814833, -81.59053148003935,
+                                       -84.75637296343996, 1.0, True))
+
+
 @settings(max_examples=200, deadline=None)
-@given(case=_brackets(), xtol=st.sampled_from([0.0, 1e-13]))
-# the bracket the halvings follow gets within xtol one halving before every
-# bracket of a six-level table does: the check inside the replay decides
-@example(case=tuple(np.array([x]) for x in (-96.02824536814833, -81.59053148003935,
-                                             -84.75637296343996, 1.0, True)),
-         xtol=1e-13)
-def test_bisect_many_levels_do_not_change_bits(case, xtol):
+@given(case=_brackets(), xtol=st.sampled_from([0.0, 1e-13]),
+       levels=st.sampled_from([1, 6]))
+@example(case=_CASE, xtol=1e-13, levels=1)
+@example(case=_CASE, xtol=1e-13, levels=6)
+def test_bisect_many_finds_clamped_root(case, xtol, levels):
     lo, hi, root, slope, increasing = case
     sign = np.where(increasing, 1.0, -1.0)
+    calls = []
 
     def f(lams):
+        calls.append(1)
         d = lams - root
         return sign * (slope * d + d ** 3)
 
-    one = _bisect_many(f, lo, hi, increasing, xtol, levels=1)
-    six = _bisect_many(f, lo, hi, increasing, xtol, levels=6)
-    assert one.tobytes() == six.tobytes()
+    got = _bisect_many(f, lo, hi, increasing, xtol, levels=levels)
+    # a root outside its bracket leaves f of one sign: the nearer end
+    want = np.clip(root, lo, hi)
+    tol = np.maximum(xtol, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    assert np.all(np.abs(got - want) <= tol)
+    assert len(calls) <= math.ceil(60 / levels)
 
 
 def test_invert_discriminant_basics():
@@ -217,9 +239,10 @@ def test_invert_discriminant_basics():
 def test_invert_discriminant_is_right_inverse():
     for V in (V0, VM):
         band = hill_bands_first_n(V, 2)[1]
-        for w in (-0.9, -0.3, 0.2, 0.8):
-            lam = invert_discriminant_on_band(V, band, w)
-            assert abs(discriminant(V, lam) - w) <= 1e-10
+        ws = np.array([-0.9, -0.3, 0.2, 0.8])
+        lams = invert_discriminant_on_band(V, band, ws)
+        assert np.max(np.abs(discriminant_batch(V, lams, 2 * DEFAULT_STEPS) - ws)) <= 1e-10
+    assert invert_discriminant_on_band(V, band, ws[1]) == lams[1]  # batch = scalar
 
 
 def test_invert_discriminant_rejects_outside_range():
@@ -233,7 +256,7 @@ def test_band_inverter_matches_bisection():
     inv = BandInverter(VM, band)
     ws = np.linspace(-1.0, 1.0, 21)
     fast = inv(ws)
-    slow = [invert_discriminant_on_band(VM, band, w) for w in ws]
+    slow = invert_discriminant_on_band(VM, band, ws)
     assert np.max(np.abs(fast - slow)) < 1e-8
 
 
