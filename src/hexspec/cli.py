@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -82,10 +83,9 @@ def _cmd_bands(args) -> int:
 
 
 def _butterfly_csv(ds: ButterflyDataset) -> str:
-    lines = ["p,q,hill_band,lo,hi"]
-    for p, q, k, lo, hi in ds.rows:
-        lines.append(f"{p},{q},{k},{_fmt(lo)},{_fmt(hi)}")
-    return "\n".join(lines) + "\n"
+    # %.15g prints the same digits as _fmt; one format for all rows
+    body = "%d,%d,%d,%.15g,%.15g\n" * len(ds.rows) % tuple(chain.from_iterable(ds.rows))
+    return "p,q,hill_band,lo,hi\n" + body
 
 
 def _butterfly_svg(ds: ButterflyDataset) -> str:
@@ -136,6 +136,8 @@ def _cmd_butterfly(args) -> int:
         "q_max": ds.q_max,
         "n_hill_bands": ds.n_hill_bands,
         "dirichlet_lines": list(ds.dirichlet_lines),
+        "inverter_model_error": list(ds.inverter_model_error),
+        "inverter_residual": list(ds.inverter_residual),
     }
     _write_text(out + ".json", json.dumps(sidecar, indent=2) + "\n")
     if args.svg:

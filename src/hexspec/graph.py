@@ -40,30 +40,37 @@ class GraphSpectrum:
 @dataclass(frozen=True)
 class ButterflyDataset:
     """Rows (p, q, hill_band_index, lo, hi) plus flux-independent Dirichlet
-    lines, for all reduced p/q up to a denominator cap."""
+    lines, for all reduced p/q up to a denominator cap, and the accuracy of
+    each Hill band's inverter."""
 
     rows: tuple[tuple[int, int, int, float, float], ...]
     dirichlet_lines: tuple[float, ...]
     potential: str
     q_max: int
     n_hill_bands: int
+    # per Hill band: the inverter's model_error and its residual
+    # max |Delta_model(lambda) - w| over the pulled-back endpoints
+    inverter_model_error: tuple[float, ...]
+    inverter_residual: tuple[float, ...]
 
 
-def _pullback(qspectra: list[QSpectrum], band: HillBand, inv) -> list[np.ndarray]:
-    """Pull the Q-bands of each spectrum back into one Hill band: clip them to
-    [-1, 1], invert every endpoint in one call to the band's inverter, and
-    return per spectrum its (lo, hi) rows in Q-band order."""
-    clipped = [
-        [(max(w1, -1.0), min(w2, 1.0))
-         for w1, w2 in qs.bands.intervals if not (w2 < -1.0 or w1 > 1.0)]
-        for qs in qspectra
-    ]
-    targets = np.array([w for pairs in clipped for pair in pairs for w in pair])
-    lams = inv(targets).reshape(-1, 2)
-    if band.monotonicity == "decreasing":
-        lams = lams[:, ::-1]
-    splits = np.cumsum([len(pairs) for pairs in clipped])[:-1]
-    return np.split(lams, splits)
+def _pullback(qspectra: list[QSpectrum], inv):
+    """Pull the Q-bands of the spectra back into one Hill band: clip them to
+    [-1, 1], invert every endpoint in one call to the band's inverter.
+    Returns the (lo, hi) rows of all spectra, each spectrum's in Q-band order,
+    the number of rows per spectrum, and the inverter's model residual
+    max |Delta(lambda) - w| over the endpoints."""
+    w = np.array([iv for qs in qspectra for iv in qs.bands.intervals],
+                 dtype=float).reshape(-1, 2)
+    spectrum = np.repeat(np.arange(len(qspectra)), [len(qs.bands) for qs in qspectra])
+    keep = (w[:, 1] >= -1.0) & (w[:, 0] <= 1.0)
+    w = np.clip(w[keep], -1.0, 1.0)
+    lams = inv(w)
+    residual = float(np.max(np.abs(inv.delta(lams) - w), initial=0.0))
+    # the image of [w1, w2] is [min, max] of its ends' images, whichever way
+    # Delta runs, also where rounding swaps the images of a point band's ends
+    lams = np.sort(lams, axis=1)
+    return lams, np.bincount(spectrum[keep], minlength=len(qspectra)), residual
 
 
 @lru_cache(maxsize=8)
@@ -90,7 +97,7 @@ def graph_spectrum(
     qs = q_spectrum(rational_spectrum(flux.p, flux.q))
     out = []
     for k, (band, inv) in enumerate(zip(bands, inverters), start=1):
-        cont = BandList.from_pairs(_pullback([qs], band, inv)[0])
+        cont = BandList.from_pairs(_pullback([qs], inv)[0])
         dirs = tuple(e for e in (band.alpha, band.beta)
                      if any(abs(d - e) < 1e-6 for d in dir_all))
         dirac = float(inv(0.0)[0])
@@ -110,26 +117,33 @@ def butterfly(
     """Band dataset over all reduced p/q with q <= q_max and the first
     n_bands Hill bands.
 
-    All discriminant inversions per Hill band are batched through one
-    spline-accelerated inverter, so the cost is one dense discriminant
-    sampling per band plus cheap eigensolves per flux.  `threads` is
-    accepted for compatibility and ignored: the fluxes run in one thread.
+    All discriminant inversions per Hill band are batched through one call
+    of the band's inverter, a Chebyshev model of Delta built from 32
+    energies, so the Hill side costs one small integration per band plus
+    cheap eigensolves per flux.  `threads` is accepted for compatibility and
+    ignored: the fluxes run in one thread.
     """
-    bands, inverters, dir_lines = _hill_side(V, n_bands)
+    _, inverters, dir_lines = _hill_side(V, n_bands)
     fracs = reduced_fractions(q_max)
     qspectra = [q_spectrum(rational_spectrum(p, q)) for p, q in fracs]
+    ps, qs = np.array(fracs, dtype=np.int64).reshape(-1, 2).T
 
-    rows = []
-    for k, (band, inv) in enumerate(zip(bands, inverters), start=1):
-        for (p, q), pairs in zip(fracs, _pullback(qspectra, band, inv)):
-            rows.extend((p, q, k, float(lo), float(hi)) for lo, hi in pairs)
-    rows.sort(key=lambda r: (r[1], r[0], r[2], r[3]))
+    cols, residuals = [], []
+    for k, inv in enumerate(inverters, start=1):
+        lams, counts, residual = _pullback(qspectra, inv)
+        cols.append((np.repeat(ps, counts), np.repeat(qs, counts),
+                     np.full(len(lams), k), lams[:, 0], lams[:, 1]))
+        residuals.append(residual)
+    p, q, k, lo, hi = (np.concatenate(c) for c in zip(*cols))
+    order = np.lexsort((lo, k, p, q))  # stable: ties keep band, flux, Q-band order
     return ButterflyDataset(
-        rows=tuple(rows),
+        rows=tuple(zip(*(c[order].tolist() for c in (p, q, k, lo, hi)))),
         dirichlet_lines=dir_lines,
         potential=V.describe(),
         q_max=q_max,
         n_hill_bands=n_bands,
+        inverter_model_error=tuple(inv.model_error for inv in inverters),
+        inverter_residual=tuple(residuals),
     )
 
 

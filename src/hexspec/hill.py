@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.polynomial import Chebyshev
 
 from .errors import DomainError, IntegrationError
 from .potentials import PotentialSpec
@@ -152,13 +152,13 @@ _LEVELS = 6
 _MAX_HALVINGS = 60
 
 
-def _bisect_many(f, lo, hi, increasing, xtol, levels=_LEVELS):
+def _bisect_many(f, lo, hi, increasing, xtol):
     """Multisection on many brackets at once; returns the midpoints of the
     final brackets.
 
     `increasing` says, per bracket or for all, which way f crosses zero.
-    Each call of f cuts every bracket into 2**levels equal parts: f maps
-    the cuts lo + (j / 2**levels) (hi - lo), j = 1 .. 2**levels - 1 (one
+    Each call of f cuts every bracket into 2**_LEVELS equal parts: f maps
+    the cuts lo + (j / 2**_LEVELS) (hi - lo), j = 1 .. 2**_LEVELS - 1 (one
     row per cut, one column per bracket), to values of the same shape.  If
     f is below zero (above, where it decreases) at k of the cuts, part
     k + 1 is the new bracket.  The last round cuts only as finely as xtol
@@ -170,7 +170,7 @@ def _bisect_many(f, lo, hi, increasing, xtol, levels=_LEVELS):
     sign = np.where(increasing, 1.0, -1.0)
     halvings = 0
     while halvings < _MAX_HALVINGS and np.max(hi - lo, initial=0.0) > xtol:
-        depth = min(levels, _MAX_HALVINGS - halvings)
+        depth = min(_LEVELS, _MAX_HALVINGS - halvings)
         while depth > 1 and np.max(hi - lo) <= xtol * 2 ** (depth - 1):
             depth -= 1
         parts = 2 ** depth
@@ -277,38 +277,72 @@ def invert_discriminant_on_band(
     return float(lam) if w.ndim == 0 else lam
 
 
+# The band inverter's model: Chebyshev-Lobatto nodes in lambda, cells of the
+# seed table, and Newton steps per target.  Delta is entire in lambda: 32
+# nodes fit it to ~3e-14 on the first bands of V = 0 and mathieu:20, and to
+# ~3e-11 on a steep double well.  From the table's seed, 4 steps reach the
+# model's root to rounding on all of them.
+_MODEL_NODES = 32
+_TABLE_CELLS = 256
+_NEWTON_STEPS = 4
+
+
 class BandInverter:
     """Fast vectorized inverse of Delta on one Hill band.
 
-    Delta is sampled densely on the band and modeled by a cubic spline
-    (Delta is entire in lambda, so the model is accurate to ~1e-11);
-    targets are then inverted by vectorized bisection on the spline.
+    Delta is sampled at 32 Chebyshev-Lobatto nodes of the band, both edges
+    included, in one integration, and modeled by its Chebyshev interpolant
+    `delta` (Delta is entire in lambda).  Each target w is seeded from a
+    257-point table of the model, interpolated in k = arccos(+-Delta), which
+    straightens the square-root shape of Delta at the band edges; the table
+    cell that holds w brackets the root, and a fixed 4 Newton steps on the
+    model polish it, bisecting the bracket wherever a step would leave it.
+    No step depends on the other targets, so a target's lambda is the same
+    in any batch.  `model_error` is the size of the last two Chebyshev
+    coefficients, an estimate of how far the model is from the integrated
+    Delta.
     """
 
-    def __init__(self, V: PotentialSpec, band: HillBand, n_samples: int = 2049,
-                 steps: int = DEFAULT_STEPS):
+    def __init__(self, V: PotentialSpec, band: HillBand):
         self.band = band
-        lams = np.linspace(band.alpha, band.beta, n_samples)
-        vals = discriminant_batch(V, lams, steps)
-        self._spline = CubicSpline(lams, vals)
-        self._increasing = band.monotonicity == "increasing"
-        self._w_alpha = -1.0 if self._increasing else 1.0  # Delta(alpha) = -Delta(beta)
+        a, b = band.alpha, band.beta
+        nodes = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(
+            np.pi * np.arange(_MODEL_NODES) / (_MODEL_NODES - 1))
+        nodes[[0, -1]] = a, b
+        self.delta = Chebyshev.fit(nodes, discriminant_batch(V, nodes),
+                                   _MODEL_NODES - 1, domain=[a, b])
+        self._slope = self.delta.deriv()
+        self.model_error = float(np.sum(np.abs(self.delta.coef[-2:])))
+        # Delta(alpha) = -Delta(beta): +1 where Delta falls, -1 where it rises
+        self._w_alpha = 1.0 if band.monotonicity == "decreasing" else -1.0
+        # k rises from ~0 at alpha to ~pi at beta on every band
+        self._table = np.linspace(a, b, _TABLE_CELLS + 1)
+        self._k = self._angle(self.delta(self._table))
+
+    def _angle(self, w):
+        return np.arccos(np.clip(self._w_alpha * w, -1.0, 1.0))
 
     def __call__(self, w):
         """Invert an array of targets in [-1, 1]; returns lambdas in the band."""
         w = np.atleast_1d(np.asarray(w, dtype=float))
         if np.any(w < -1.0 - 1e-12) or np.any(w > 1.0 + 1e-12):
             raise DomainError("discriminant target outside [-1, 1]")
-        w = np.clip(w, -1.0, 1.0)
-        lo = np.full(w.size, self.band.alpha)
-        hi = np.full(w.size, self.band.beta)
-        # xtol 0: always the full 60 halvings.  One cut per call of the
-        # spline: its cost grows with the number of points, so 2**L - 1
-        # cuts per target would cost more than they save.
-        lam = _bisect_many(lambda lam: self._spline(lam) - w.ravel(), lo, hi,
-                           self._increasing, xtol=0.0, levels=1)
+        shape = w.shape
+        w = np.clip(w, -1.0, 1.0).ravel()
+        k = self._angle(w)
+        cell = np.clip(np.searchsorted(self._k, k, side="right") - 1, 0, _TABLE_CELLS - 1)
+        lo, hi = self._table[cell], self._table[cell + 1]
+        k0, k1 = self._k[cell], self._k[cell + 1]
+        lam = lo + np.clip((k - k0) / (k1 - k0), 0.0, 1.0) * (hi - lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                f = self.delta(lam) - w
+                root_above = self._w_alpha * f > 0.0
+                lo, hi = np.where(root_above, lam, lo), np.where(root_above, hi, lam)
+                step = lam - f / self._slope(lam)
+                lam = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
         # Delta = +-1 at the edges by definition; at a closed gap, where
         # Delta' = 0, a model error of 1e-15 would move that crossing by 1e-7
-        at_edge = [w.ravel() == self._w_alpha, w.ravel() == -self._w_alpha]
+        at_edge = [w == self._w_alpha, w == -self._w_alpha]
         lam = np.select(at_edge, [self.band.alpha, self.band.beta], lam)
-        return lam.reshape(w.shape)
+        return lam.reshape(shape)

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from hexspec.cli import main
+from hexspec.cli import _butterfly_csv, main
+from hexspec.graph import ButterflyDataset
 
 
 def run_cli(args, env=None):
@@ -62,6 +63,17 @@ def test_butterfly_artifacts_and_determinism(tmp_path):
     assert "\r" not in text
     sidecar = json.loads((tmp_path / "a.csv.json").read_text())
     assert sidecar["dirichlet_lines"][0] == pytest.approx(math.pi ** 2, abs=1e-8)
+    for key in ("inverter_model_error", "inverter_residual"):
+        assert len(sidecar[key]) == 1 and 0.0 <= sidecar[key][0] < 1e-10
+
+
+def test_butterfly_csv_matches_row_format():
+    rows = ((0, 1, 1, -0.0, 0.0), (1, 3, 2, 1e-300, 2.0 / 3.0),
+            (12, 49, 5, 246.74011002812327, 1.5e16), (1, 2, 1, -1e-5, 123456789.0))
+    ds = ButterflyDataset(rows, (), "zero", 49, 5, (), ())
+    lines = ["p,q,hill_band,lo,hi"] + [f"{p},{q},{k},{lo:.15g},{hi:.15g}"
+                                       for p, q, k, lo, hi in rows]
+    assert _butterfly_csv(ds) == "\n".join(lines) + "\n"
 
 
 def test_butterfly_env_threads(tmp_path):

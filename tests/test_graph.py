@@ -117,6 +117,7 @@ def test_butterfly_band_measure_shrinks_with_q():
     ds = butterfly(V0, 50, 1)
     per_col = collections.defaultdict(float)
     for p, q, k, lo, hi in ds.rows:
+        assert lo <= hi  # also for the point bands near the Hill edge
         per_col[(p, q)] += hi - lo
     wide = per_col[(1, 2)]
     for p in range(1, 50):

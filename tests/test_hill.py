@@ -202,11 +202,9 @@ _CASE = tuple(np.array([x]) for x in (-96.02824536814833, -81.59053148003935,
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_brackets(), xtol=st.sampled_from([0.0, 1e-13]),
-       levels=st.sampled_from([1, 6]))
-@example(case=_CASE, xtol=1e-13, levels=1)
-@example(case=_CASE, xtol=1e-13, levels=6)
-def test_bisect_many_finds_clamped_root(case, xtol, levels):
+@given(case=_brackets(), xtol=st.sampled_from([0.0, 1e-13]))
+@example(case=_CASE, xtol=1e-13)
+def test_bisect_many_finds_clamped_root(case, xtol):
     lo, hi, root, slope, increasing = case
     sign = np.where(increasing, 1.0, -1.0)
     calls = []
@@ -216,12 +214,12 @@ def test_bisect_many_finds_clamped_root(case, xtol, levels):
         d = lams - root
         return sign * (slope * d + d ** 3)
 
-    got = _bisect_many(f, lo, hi, increasing, xtol, levels=levels)
+    got = _bisect_many(f, lo, hi, increasing, xtol)
     # a root outside its bracket leaves f of one sign: the nearer end
     want = np.clip(root, lo, hi)
     tol = np.maximum(xtol, np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     assert np.all(np.abs(got - want) <= tol)
-    assert len(calls) <= math.ceil(60 / levels)
+    assert len(calls) <= math.ceil(60 / hill._LEVELS)
 
 
 def test_invert_discriminant_basics():
@@ -261,8 +259,8 @@ def test_band_inverter_matches_bisection():
 
 
 def test_band_inverter_maps_edge_values_to_edges():
-    # the spline's edge values are off by ~1e-15 with either sign, so the
-    # bisection direction must come from the band's monotonicity; the
+    # the model's edge values are off by ~1e-15 with either sign, so the
+    # bracket's direction must come from the band's monotonicity; the
     # tolerance covers the ill-conditioned closed-gap edges of V=0
     for V, n in ((V0, 5), (VM, 3)):
         for band in hill_bands_first_n(V, n):
@@ -279,3 +277,29 @@ def test_band_inverter_maps_unit_targets_to_edges_exactly():
             got = BandInverter(V, band)([1.0, -1.0])
             ends = [band.alpha, band.beta]
             assert got.tolist() == (ends if band.monotonicity == "decreasing" else ends[::-1])
+
+
+def test_band_inverter_builds_from_one_kernel_call(rk4_calls):
+    band = hill_bands_first_n(VM, 2)[1]
+    rk4_calls.clear()
+    inv = BandInverter(VM, band)
+    assert rk4_calls == [32]
+    inv(np.linspace(-1.0, 1.0, 101))
+    assert rk4_calls == [32]
+
+
+@pytest.mark.parametrize("V,n", [(V0, 5), (VM, 3), (_double_well(), 3)])
+def test_band_inverter_is_right_inverse(V, n):
+    ws = np.linspace(-0.999, 0.999, 201)
+    for band in hill_bands_first_n(V, n):
+        lams = BandInverter(V, band)(ws)
+        assert np.max(np.abs(discriminant_batch(V, lams) - ws)) <= 1e-10
+
+
+def test_band_inverter_is_independent_of_batch():
+    for band in hill_bands_first_n(VM, 2):
+        inv = BandInverter(VM, band)
+        ws = np.concatenate([[-1.0, 1.0, 0.0], np.linspace(-0.99999, 0.99999, 97)])
+        lams = inv(ws)
+        assert [inv(w)[0] for w in ws] == lams.tolist()
+        assert inv(ws[::-1]).tolist() == lams[::-1].tolist()
