@@ -4,10 +4,6 @@ rational flux, Hofstadter-butterfly datasets, Lyapunov diagnostics, and
 compactly supported loop eigenstates."""
 
 from .errors import ConsistencyError, DomainError, HexspecError, IntegrationError
-# potentials loads scipy, most of the import time; loaded from here rather
-# than nested under graph -> hill -> potentials, the import measured ~0.1 s
-# faster (Python 3.11, scipy 1.17, 2-vCPU VM)
-from .potentials import PotentialSpec, parse_potential
 from .flux import Flux, continued_fraction, golden_flux, parse_flux, reduced_fractions
 from .graph import ButterflyDataset, GraphSpectrum, butterfly, dirac_points, graph_spectrum
 from .hill import (
@@ -47,6 +43,7 @@ from .loops import (
     rank_TPhi,
     verify_vertex_conditions,
 )
+from .potentials import PotentialSpec, parse_potential
 from .qlambda import QSpectrum, q_norm_bound, q_spectrum
 
 __version__ = "0.1.0"

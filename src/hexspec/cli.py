@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import chain
 
@@ -39,18 +38,6 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         _write_text(path, text)
-
-
-def _threads(args) -> int:
-    env = os.environ.get("HEXSPEC_THREADS")
-    if args.threads is not None:
-        return max(1, args.threads)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"bad HEXSPEC_THREADS value {env!r}")
-    return 1
 
 
 def _cmd_bands(args) -> int:
@@ -128,7 +115,7 @@ def _butterfly_svg(ds: ButterflyDataset) -> str:
 
 def _cmd_butterfly(args) -> int:
     V = parse_potential(args.potential)
-    ds = butterfly(V, args.qmax, args.hill_bands, threads=_threads(args))
+    ds = butterfly(V, args.qmax, args.hill_bands)
     out = args.output or "butterfly.csv"
     _write_text(out, _butterfly_csv(ds))
     sidecar = {
@@ -212,8 +199,6 @@ def _cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hexspec")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="no effect; accepted for compatibility")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="graph band structure at rational flux")

@@ -125,34 +125,36 @@ def build_Mq(theta: float, p: int, q: int) -> np.ndarray:
 
 
 def _bloch_blocks(p: int, q: int, thetas, phases) -> np.ndarray:
-    """Periodic q x q Jacobi blocks, shape (len(thetas), len(phases), q, q):
-    diagonal v(theta - j p/q), off-diagonal |c(theta - (j+1) p/q)|, corners
-    phase * |c(theta)| and its conjugate, added onto shared entries (q <= 2).
-    Real phases give a real float64 array, complex ones a complex array."""
-    thetas = np.asarray(thetas, dtype=float)[:, None]
+    """Periodic q x q Jacobi blocks, one per (theta, phase) pair, shape
+    (len(thetas), q, q): diagonal v(theta - j p/q), off-diagonal
+    |c(theta - (j+1) p/q)|, corners phase * |c(theta)| and its conjugate,
+    added onto shared entries (q <= 2).  Real phases give a real float64
+    array, complex ones a complex array."""
+    thetas = np.asarray(thetas, dtype=float)
     phases = np.asarray(phases)
     j = np.arange(q)
-    M = np.zeros((thetas.shape[0], phases.size, q, q), dtype=phases.dtype)
-    M[..., j, j] = coeff_v(thetas - j * (p / q))[:, None]
-    off = np.abs(coeff_c(thetas - j[1:] * (p / q)))[:, None]
-    M[..., j[1:], j[:-1]] = off
-    M[..., j[:-1], j[1:]] = off
+    M = np.zeros((thetas.size, q, q), dtype=phases.dtype)
+    M[:, j, j] = coeff_v(thetas[:, None] - j * (p / q))
+    off = np.abs(coeff_c(thetas[:, None] - j[1:] * (p / q)))
+    M[:, j[1:], j[:-1]] = off
+    M[:, j[:-1], j[1:]] = off
     corner = phases * np.abs(coeff_c(thetas))
-    M[..., 0, q - 1] += corner
-    M[..., q - 1, 0] += np.conj(corner)
+    M[:, 0, q - 1] += corner
+    M[:, q - 1, 0] += np.conj(corner)
     return M
 
 
 def build_Mq_nu(theta: float, nu: float, p: int, q: int) -> np.ndarray:
     """Periodic q x q Jacobi block with Floquet corner phase e^{2 pi i nu}, as
     a complex array (see _bloch_blocks).  Real symmetric for nu in {0, 1/2}."""
-    return _bloch_blocks(p, q, [theta], [cmath.exp(2j * math.pi * nu)])[0, 0]
+    return _bloch_blocks(p, q, [theta], [cmath.exp(2j * math.pi * nu)])[0]
 
 
 def theta_spectrum(p: int, q: int, theta: float) -> BandList:
     """Per-theta spectrum: q possibly-touching bands whose k-th endpoints are
     the k-th eigenvalues of the nu=1/2 and nu=0 periodic blocks."""
-    los, his = (e[0] for e in _endpoint_arrays(p, q, [theta]))
+    eigs = np.linalg.eigvalsh(_bloch_blocks(p, q, [theta, theta], [-1.0, 1.0]))
+    los, his = eigs.min(axis=0), eigs.max(axis=0)
     # interlacing: consecutive bands may touch but must not overlap
     overlap = his[:-1] - los[1:]
     if q > 1 and np.max(overlap) > 1e-9 * (1.0 + np.max(np.abs(his))):
@@ -163,8 +165,10 @@ def theta_spectrum(p: int, q: int, theta: float) -> BandList:
     return BandList.from_pairs(zip(los, his))
 
 
-# extremizing angles for the full rational spectrum; the lower/upper envelope
-# of the trace window [l_q(theta), L_q(theta)] is attained at these points
+# tr D_q(theta) = G_q(lam) - 2 cos(2 pi q theta) (Chambers), so the per-theta
+# window closes over theta to I_q = [-3, 6] for odd q and [-6, 3] for even q.
+# G_q = min I_q on the whole spectrum of the nu = 1/2 block at the first angle
+# and G_q = max I_q on that of the nu = 0 block at the second.
 def _theta_stars(q: int) -> tuple[float, float]:
     if q % 2 == 0:
         return (q + 1) / (2.0 * q), 1.0 / (6.0 * q)
@@ -172,24 +176,19 @@ def _theta_stars(q: int) -> tuple[float, float]:
 
 
 def rational_spectrum(p: int, q: int) -> BandList:
-    """Sigma_{2 pi p/q}: union over theta of the per-theta spectra, realized as
-    the band-wise hull of two extremizing angles; exactly q possibly-touching
-    bands, from one real eigvalsh call.  The bottom edge is exactly -3 for
-    every p/q (Chambers); it is pinned there, as the eigensolve puts it a few
-    ulp off and the square root in q_spectrum would open a gap at 0."""
+    """Sigma_{2 pi p/q} = G_q^{-1}(I_q), I_q = [-3, 6] for odd q and [-6, 3]
+    for even q: the union over theta of the per-theta spectra, exactly q
+    possibly-touching bands.  Band k runs between the k-th eigenvalues of the
+    nu = 1/2 block at the first extremizing angle (G_q = min I_q) and of the
+    nu = 0 block at the second (G_q = max I_q), from one real eigvalsh call.
+    The bottom edge is exactly -3 for every p/q (Chambers); it is pinned
+    there, as the eigensolve puts it a few ulp off and the square root in
+    q_spectrum would open a gap at 0."""
     if math.gcd(p, q) != 1:
         raise DomainError(f"flux {p}/{q} is not reduced")
-    los, his = _endpoint_arrays(p, q, _theta_stars(q))
-    los, his = los.min(axis=0), his.max(axis=0)
+    eigs = np.linalg.eigvalsh(_bloch_blocks(p, q, _theta_stars(q), [-1.0, 1.0]))
+    los, his = eigs.min(axis=0), eigs.max(axis=0)
     if abs(los[0] + 3.0) > 1e-10:
         raise ConsistencyError(f"bottom of Sigma for p/q={p}/{q} is {los[0]!r}, not -3")
     los[0] = -3.0
     return BandList.from_pairs(zip(los, his))
-
-
-def _endpoint_arrays(p: int, q: int, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """Per theta, the k-th band endpoints, shape (len(thetas), q): the lower
-    and higher k-th eigenvalues of the nu = 1/2 and nu = 0 blocks (corner
-    phases -1 and 1), from one eigvalsh call on a real float64 stack."""
-    eigs = np.linalg.eigvalsh(_bloch_blocks(p, q, thetas, [-1.0, 1.0]))
-    return eigs.min(axis=1), eigs.max(axis=1)

@@ -13,7 +13,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 
@@ -62,9 +61,12 @@ class PotentialSpec:
         return PotentialSpec("tabulated", samples=tuple(float(s) for s in samples))
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def _spline(self):
         """The tabulated V, built on first use and kept; not a field, so
-        equality and hashing still see the samples only."""
+        equality and hashing still see the samples only.  scipy is imported
+        here, as only tabulated potentials need it."""
+        from scipy.interpolate import CubicSpline
+
         arr = np.asarray(self.samples)
         t = np.linspace(0.0, 1.0, arr.size)
         return CubicSpline(t, arr)

@@ -18,7 +18,6 @@ class QSpectrum:
     """Band structure of Q_Lambda(Phi); always negation-symmetric with 0."""
 
     bands: BandList
-    contains_zero: bool = True
 
     @property
     def measure(self) -> float:

@@ -1,22 +1,11 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from hexspec.cli import _butterfly_csv, main
 from hexspec.graph import ButterflyDataset
-
-
-def run_cli(args, env=None):
-    cmd = [sys.executable, "-m", "hexspec.cli", *args]
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(cmd, capture_output=True, text=True, env=full_env)
 
 
 def test_bands_half_flux_json(tmp_path):
@@ -55,8 +44,8 @@ def test_butterfly_artifacts_and_determinism(tmp_path):
     out2 = tmp_path / "b.csv"
     assert main(["butterfly", "--qmax", "3", "--hill-bands", "1",
                  "--output", str(out1)]) == 0
-    assert main(["--threads", "4", "butterfly", "--qmax", "3",
-                 "--hill-bands", "1", "--output", str(out2)]) == 0
+    assert main(["butterfly", "--qmax", "3", "--hill-bands", "1",
+                 "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     text = out1.read_text()
     assert text.splitlines()[0] == "p,q,hill_band,lo,hi"
@@ -74,14 +63,6 @@ def test_butterfly_csv_matches_row_format():
     lines = ["p,q,hill_band,lo,hi"] + [f"{p},{q},{k},{lo:.15g},{hi:.15g}"
                                        for p, q, k, lo, hi in rows]
     assert _butterfly_csv(ds) == "\n".join(lines) + "\n"
-
-
-def test_butterfly_env_threads(tmp_path):
-    out1 = tmp_path / "a.csv"
-    r = run_cli(["butterfly", "--qmax", "2", "--hill-bands", "1",
-                 "--output", str(out1)], env={"HEXSPEC_THREADS": "3"})
-    assert r.returncode == 0
-    assert out1.exists()
 
 
 def test_butterfly_svg(tmp_path):

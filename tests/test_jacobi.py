@@ -218,6 +218,17 @@ def test_rational_spectrum_matches_theta_grid_oracle():
         assert np.max(np.abs(got[:, 1] - his)) < 1e-6
 
 
+def test_rational_spectrum_edges_sit_on_the_chambers_window():
+    # Sigma_{p/q} = G_q^{-1}(I_q): each band has one edge where G_q = min I_q
+    # and one where G_q = max I_q; chambers_Gq loses digits at the edges
+    # above q ~ 12
+    for p, q in reduced_fractions(10):
+        window = [-3.0, 6.0] if q % 2 else [-6.0, 3.0]
+        edges = np.array(rational_spectrum(p, q).intervals)
+        g = np.sort(chambers_Gq(edges.ravel(), p, q).reshape(q, 2), axis=1)
+        assert np.max(np.abs(g - window)) <= 1e-7, (p, q)
+
+
 def test_measure_bound_examples():
     assert rational_spectrum(1, 5).measure < 16 * math.pi / 15
     assert rational_spectrum(13, 21).measure <= 16 * math.pi / 63
@@ -283,7 +294,7 @@ def test_rational_spectrum_makes_one_real_eigvalsh_call(eigvalsh_calls):
         rational_spectrum(p, q)
         assert len(eigvalsh_calls) == 1
         assert eigvalsh_calls[0].dtype == np.float64
-        assert eigvalsh_calls[0].shape == (2, 2, q, q)
+        assert eigvalsh_calls[0].shape == (2, q, q)
 
 
 def test_rational_spectrum_rejects_a_bottom_edge_far_from_minus_three(monkeypatch):

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
+import scipy.interpolate
 from scipy.interpolate import CubicSpline
 
-from hexspec import potentials
+import hexspec
 from hexspec.potentials import PotentialSpec
 
 
@@ -19,10 +24,20 @@ def test_tabulated_spline_is_built_once(monkeypatch):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(potentials, "CubicSpline", Counted)
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", Counted)
     V = PotentialSpec.tabulated(samples)
     for _ in range(3):
         assert V(t).tobytes() == expected.tobytes()
     assert len(built) == 1
     assert V == PotentialSpec.tabulated(samples)
     assert hash(V) == hash(PotentialSpec.tabulated(samples))
+
+
+def test_import_leaves_scipy_unloaded():
+    # only tabulated potentials need scipy, and they import it on first use
+    src = os.path.dirname(os.path.dirname(hexspec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, hexspec; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "False"
