@@ -107,7 +107,7 @@ def _rk4_fundamental(V: PotentialSpec, lams: np.ndarray, steps: int):
     # V at step starts and midpoints; nodes are lambda-independent
     t_nodes = np.arange(2 * steps + 1) * (0.5 * h)
     Vn = np.ascontiguousarray(V(t_nodes), dtype=float)
-    lams = np.ascontiguousarray(lams, dtype=float)
+    lams = np.asarray(lams, dtype=float)
     out = tuple(x.reshape(lams.shape) for x in _rk4_loop(Vn, lams.ravel(), steps))
     for arr in out:
         if not np.all(np.isfinite(arr)):
@@ -119,21 +119,22 @@ def _rk4_fundamental(V: PotentialSpec, lams: np.ndarray, steps: int):
 def integrate_monodromy(
     V: PotentialSpec, lam, steps: int = DEFAULT_STEPS
 ) -> MonodromySolution:
-    """Monodromy data at one energy or an array of them, in one integration
-    per step count, with a step-doubling error estimate."""
+    """Monodromy data at one energy or an array of them, all from one run at
+    2*steps, with the step-doubling error against a run at steps."""
     if steps < 64:
         raise DomainError("steps must be >= 64")
     lams = np.asarray(lam, dtype=float)
-    c1, c1p, s1, s1p = _rk4_fundamental(V, lams, steps)[:4]
-    s1p_fine = _rk4_fundamental(V, lams, 2 * steps)[3]
-    fields = (lams, c1, c1p, s1, s1p_fine, s1p_fine, np.abs(s1p - s1p_fine))
+    c1, c1p, s1, s1p = _rk4_fundamental(V, lams, 2 * steps)[:4]
+    coarse = discriminant_batch(V, lams, steps)
+    fields = (lams, c1, c1p, s1, s1p, s1p, np.abs(coarse - s1p))
     if lams.ndim == 0:
         fields = tuple(x.item() for x in fields)
     return MonodromySolution(*fields)
 
 
 def discriminant(V: PotentialSpec, lam: float, steps: int = DEFAULT_STEPS) -> float:
-    return integrate_monodromy(V, lam, steps).delta
+    """Delta at one energy, integrated at 2*steps (integrate_monodromy's delta)."""
+    return float(discriminant_batch(V, lam, 2 * steps))
 
 
 def discriminant_batch(

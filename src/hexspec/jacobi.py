@@ -106,22 +106,17 @@ def chambers_Gq(lam, p: int, q: int, theta0: float | None = None):
 
 
 def build_Mq(theta: float, p: int, q: int) -> np.ndarray:
-    """Decoupled q x q Hermitian block at theta in 1/2 + (1/q)Z.
+    """Decoupled q x q block at theta in 1/2 + (1/q)Z, real symmetric.
 
-    Satisfies det(lam*I - M_q(theta)) = tr(D_q(theta)).
+    Satisfies det(lam*I - M_q(theta)) = tr(D_q(theta)).  Every theta in the
+    lattice gives the same block: the restriction of the infinite matrix
+    between two vanishing couplings, i.e. the Bloch block at theta = 1/2,
+    where c(1/2) = 0 removes the corner.
     """
     x = (theta - 0.5) * q
     if abs(x - round(x)) > THETA_LATTICE_TOL * q:
         raise DomainError(f"theta={theta} not in 1/2 + (1/{q})Z")
-    # every theta in the lattice yields the same decoupled block: the
-    # restriction of the infinite matrix between two vanishing couplings,
-    # anchored at the angle 1/2 where c vanishes
-    j = np.arange(q)
-    M = np.diag(coeff_v(0.5 - j * (p / q))).astype(complex)
-    cj = coeff_c(0.5 - j[1:] * (p / q))
-    M[j[1:], j[:-1]] = cj
-    M[j[:-1], j[1:]] = np.conj(cj)
-    return M
+    return _bloch_blocks(p, q, [0.5], [0.0])[0]
 
 
 def _bloch_blocks(p: int, q: int, thetas, phases) -> np.ndarray:

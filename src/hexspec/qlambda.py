@@ -44,37 +44,17 @@ def q_spectrum(sigma_phi: BandList) -> QSpectrum:
     return QSpectrum(bands=BandList.from_pairs(intervals))
 
 
-def q_norm_bound(phi: float, grid: int = 100_000) -> float:
+def q_norm_bound(phi: float) -> float:
     """Upper bound sqrt(1/3 + c_Phi/9) on the norm of Q_Lambda(Phi), where
-    c_Phi^2 = 12 sup_theta (sin^2 pi(theta - Phi/2pi) + sin^2 pi theta
-    + cos^2 2 pi theta); strictly below 1 unless Phi is a multiple of 2 pi."""
+    c_Phi^2 = 12 sup_theta f(theta), f = sin^2 pi(theta - a) + sin^2 pi theta
+    + cos^2 2 pi theta with a = Phi/2pi; strictly below 1 unless Phi is a
+    multiple of 2 pi.  The sup is exact: f' = 0 exactly where
+    z = e^{2 pi i theta} solves 2z^4 - (w+1)z^3 + (conj(w)+1)z - 2 = 0 with
+    w = e^{-2 pi i a}, so it is the largest f at the angles of the four roots."""
     a = phi / (2.0 * math.pi)
-
-    def f(theta):
-        return (
-            np.sin(np.pi * (theta - a)) ** 2
-            + np.sin(np.pi * theta) ** 2
-            + np.cos(2.0 * np.pi * theta) ** 2
-        )
-
-    th = np.linspace(0.0, 1.0, grid, endpoint=False)
-    vals = f(th)
-    k = int(np.argmax(vals))
-    # golden-section refinement around the best grid point
-    lo, hi = th[k] - 1.0 / grid, th[k] + 1.0 / grid
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(80):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    sup = max(float(np.max(vals)), float(f1), float(f2))
-    c_phi = math.sqrt(12.0 * sup)
-    return math.sqrt(1.0 / 3.0 + c_phi / 9.0)
+    w = complex(math.cos(phi), -math.sin(phi))
+    z = np.roots([2.0, -(w + 1.0), 0.0, w.conjugate() + 1.0, -2.0])
+    th = np.angle(z) / (2.0 * math.pi)
+    sup = np.max(np.sin(np.pi * (th - a)) ** 2 + np.sin(np.pi * th) ** 2
+                 + np.cos(2.0 * np.pi * th) ** 2)
+    return math.sqrt(1.0 / 3.0 + math.sqrt(12.0 * sup) / 9.0)

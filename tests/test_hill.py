@@ -87,6 +87,32 @@ def test_monodromy_batch_matches_scalar():
         assert isinstance(one.delta, float) and astuple(one) == row
 
 
+def test_monodromy_fields_come_from_one_run():
+    # mixing the c1, c1p, s1 of one step count with the s1p of another makes
+    # the Wronskian and the c1 - s1p symmetry read the step error (~1.5e-12)
+    lams = np.linspace(-5.0, 100.0, 100)
+    sol = integrate_monodromy(VM, lams)
+    c1, c1p, s1, s1p = hill._rk4_fundamental(VM, lams, 2 * DEFAULT_STEPS)[:4]
+    pairs = ((sol.c1, c1), (sol.c1p, c1p), (sol.s1, s1), (sol.s1p, s1p), (sol.delta, s1p))
+    assert all(np.array_equal(got, want) for got, want in pairs)
+    coarse = discriminant_batch(VM, lams)
+    assert np.array_equal(sol.step_error, np.abs(coarse - sol.delta))
+    assert np.max(np.abs(sol.wronskian - 1.0)) <= 1e-13
+    assert np.max(np.abs(sol.c1 - sol.s1p)) <= 1e-13
+
+
+def test_discriminant_is_one_integration(rk4_calls):
+    assert discriminant(VM, 10.0) == integrate_monodromy(VM, 10.0).delta
+    rk4_calls.clear()
+    discriminant(VM, 10.0)
+    assert rk4_calls == [1]
+
+
+def test_discriminant_batch_keeps_the_shape_of_a_scalar():
+    assert discriminant_batch(V0, 10.0).shape == ()
+    assert discriminant_batch(V0, [10.0]).shape == (1,)
+
+
 def test_discriminant_zero_potential_values():
     assert discriminant(V0, 4 * math.pi ** 2) == pytest.approx(1.0, abs=1e-9)
     assert discriminant(V0, (math.pi / 2) ** 2) == pytest.approx(0.0, abs=1e-10)

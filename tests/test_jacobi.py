@@ -281,6 +281,12 @@ def test_stacked_blocks_match_per_entry_construction():
                 M = build_Mq_nu(theta, nu, p, q)
                 assert M.dtype == complex
                 assert np.max(np.abs(M - _per_entry_block(theta, nu, p, q))) <= 1e-14
+        # build_Mq at every lattice angle is the block at theta = 1/2, whose
+        # corner c(1/2) = 0 vanishes whatever nu
+        want = np.linalg.eigvalsh(_per_entry_block(0.5, 0.3, p, q))
+        for k in range(q):
+            got = np.linalg.eigvalsh(build_Mq(0.5 + k / q, p, q))
+            assert np.max(np.abs(got - want)) <= 1e-12
         ends = [_per_entry_endpoints(p, q, th) for th in stars]
         lo = np.minimum(ends[0][0], ends[1][0])
         hi = np.maximum(ends[0][1], ends[1][1])

@@ -71,6 +71,18 @@ def test_q_norm_bound_strictly_below_one_off_lattice():
         assert q_norm_bound(2.0 * math.pi * k / 40.0) < 1.0
 
 
+def test_q_norm_bound_is_the_maximum():
+    # the sup over theta taken on a dense grid: the closed form may exceed it
+    # only by the grid's miss of the peak, and never fall below it
+    theta = np.arange(2 ** 17) / 2 ** 17
+    for phi in np.linspace(0.0, 2.0 * math.pi, 241):
+        a = phi / (2.0 * math.pi)
+        f = (np.sin(np.pi * (theta - a)) ** 2 + np.sin(np.pi * theta) ** 2
+             + np.cos(2.0 * np.pi * theta) ** 2)
+        grid = math.sqrt(1.0 / 3.0 + math.sqrt(12.0 * np.max(f)) / 9.0)
+        assert grid - 1e-15 <= q_norm_bound(phi) <= grid + 1e-9, phi
+
+
 def test_q_spectrum_within_norm_bound():
     for p, q in ((1, 2), (1, 3), (2, 5), (3, 8)):
         phi = 2.0 * math.pi * p / q
