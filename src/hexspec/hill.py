@@ -1,15 +1,25 @@
 """Hill equation on one edge: monodromy, discriminant, bands, Dirichlet data.
 
 Everything is driven by the fundamental solutions c and s of
--psi'' + V psi = lambda psi on (0,1) with (c, c')(0) = (1, 0) and
-(s, s')(0) = (0, 1); the discriminant is Delta(lambda) = s'(1), which by
-evenness of V equals c(1).
+-psi'' + V psi = lambda psi with (c, c')(0) = (1, 0) and (s, s')(0) = (0, 1);
+the discriminant is Delta(lambda) = c(1) = s'(1).
 
-Eigenvalues are found by Sturm oscillation counting: the zeros of s on
-(0, 1) count the Dirichlet eigenvalues below lambda, and the zeros of c plus
-[c(1) c'(1) < 0] count the Neumann ones.  The counts are exact integers, so
-cutting brackets on them finds every eigenvalue, however close to its
-neighbour.
+V is even about 1/2, so c and s are integrated over [0, 1/2] only.  With
+M(t) = [[c, s], [c', s']] and R = diag(1, -1), the reflection t -> 1 - t
+gives M(1) = R M(1/2)^-1 R M(1/2); from the values at 1/2,
+Delta = c s' + s c', s(1) = 2 s s' and c'(1) = 2 c c'.
+
+Eigenvalues are found by Sturm oscillation counting on the same half run.
+An eigenfunction on [0, 1] is odd or even about 1/2, i.e. an eigenfunction
+on [0, 1/2] with the Dirichlet or the Neumann condition at 1/2.  Below
+lambda, the Dirichlet eigenvalues with odd eigenfunctions number the zeros
+of s on (0, 1/2], and those with even ones as many, plus one where the
+Prufer angle of s at 1/2 is past the next pi/2 + k pi, i.e. s s' < 0.
+So the Dirichlet count is 2 #zeros(s) + [s s' < 0],
+and the Neumann count 2 #zeros(c) + [c c' < 0], both at 1/2.  Zeros of s'
+or c' do not count: where V > lambda the angle crosses pi/2 backwards.
+The counts are exact integers, so cutting brackets on them finds every
+eigenvalue, however close to its neighbour.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ EDGE_TOL = 1e-12
 # Largest lambda_max the eigenvalue counts are trusted at, for DEFAULT_STEPS
 # (it scales with steps**2).  There sqrt(lambda) h = 0.077 rad per step, and
 # the RK4 phase error, which grows like its fifth power, stays far below pi.
+# The half-interval run keeps h = 1/steps, so this holds for it unchanged.
 COUNT_LAMBDA_MAX = 1e5
 # Energies of the one counting call that brackets every eigenvalue
 _COUNT_GRID = 64
@@ -60,11 +71,12 @@ class HillBand:
 
 
 def _rk4_loop(Vn: np.ndarray, lams: np.ndarray, steps: int):
-    """RK4 over [0,1] on (u, u')' = (u', (V - lam) u) for both fundamental
-    solutions; Vn holds V at step starts and midpoints.  c and s ride in one
+    """RK4 at step h = 1/steps on (u, u')' = (u', (V - lam) u) for both
+    fundamental solutions, over the (len(Vn) - 1) / 2 steps that Vn spans:
+    Vn holds V at step starts and midpoints from t = 0.  c and s ride in one
     state vector (c first), so each step costs one set of array operations.
     Next to the state it counts the sign changes of c and of s across the
-    step nodes, i.e. their zeros in (0, 1]."""
+    step nodes, i.e. their zeros in (0, t_end]."""
     h = 1.0 / steps
     n = lams.shape[0]
     lam2 = np.concatenate((lams, lams))
@@ -72,7 +84,7 @@ def _rk4_loop(Vn: np.ndarray, lams: np.ndarray, steps: int):
     up = np.concatenate((np.zeros_like(lams), np.ones_like(lams)))
     neg = u < 0.0
     zeros = np.zeros(2 * n, dtype=np.int64)
-    for i in range(steps):
+    for i in range((Vn.shape[0] - 1) // 2):
         w0 = Vn[2 * i] - lam2
         wm = Vn[2 * i + 1] - lam2
         w1 = Vn[2 * i + 2] - lam2
@@ -101,14 +113,22 @@ except ImportError:  # pragma: no cover
 
 
 def _rk4_fundamental(V: PotentialSpec, lams: np.ndarray, steps: int):
-    """Integrate c and s for an array of energies of any shape; returns
-    (c1, c1p, s1, s1p, zeros of c, zeros of s), each of that shape."""
-    h = 1.0 / steps
-    # V at step starts and midpoints; nodes are lambda-independent
-    t_nodes = np.arange(2 * steps + 1) * (0.5 * h)
+    """c and s at t = 1 for an array of energies of any shape, from one run
+    over [0, 1/2] at h = 1/steps continued by the reflection (module
+    docstring); returns (c1, c1p, s1, s1p, Neumann count, Dirichlet count),
+    the counts being the eigenvalues below each energy, each of that shape.
+    Raises DomainError unless steps is even and >= 2, so the run ends at 1/2."""
+    if steps < 2 or steps % 2:
+        raise DomainError(f"steps must be even and >= 2, got {steps}")
+    # V at step starts and midpoints of [0, 1/2]; nodes are lambda-independent
+    t_nodes = np.arange(steps + 1) * (0.5 / steps)
     Vn = np.ascontiguousarray(V(t_nodes), dtype=float)
     lams = np.asarray(lams, dtype=float)
-    out = tuple(x.reshape(lams.shape) for x in _rk4_loop(Vn, lams.ravel(), steps))
+    c, cp, s, sp, zeros_c, zeros_s = _rk4_loop(Vn, lams.ravel(), steps)
+    delta = c * sp + s * cp
+    out = (delta, 2.0 * c * cp, 2.0 * s * sp, delta,
+           2 * zeros_c + (c * cp < 0.0), 2 * zeros_s + (s * sp < 0.0))
+    out = tuple(x.reshape(lams.shape) for x in out)
     for arr in out:
         if not np.all(np.isfinite(arr)):
             bad = lams[~np.isfinite(arr)][:1]
@@ -195,8 +215,7 @@ def _eigenvalues(V: PotentialSpec, lambda_max: float, steps: int):
                           f"{steps} steps count eigenvalues exactly")
 
     def count(lams):  # the numbers of Neumann and of Dirichlet eigenvalues below
-        c1, c1p, _, _, zeros_c, zeros_s = _rk4_fundamental(V, lams, steps)
-        return zeros_c + (c1 * c1p < 0.0), zeros_s
+        return _rk4_fundamental(V, lams, steps)[4:]
 
     grid = np.linspace(V.min_value - 1.0, lambda_max, _COUNT_GRID)  # from below all
     # the k-th eigenvalue of a kind lies below the first grid energy with a

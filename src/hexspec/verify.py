@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from . import jacobi
+from . import hill, jacobi
 from .dynamics import irrational_cover, holder_probe
 from .flux import Flux, GOLDEN_MEAN, golden_flux
 from .hill import (DEFAULT_STEPS, discriminant_batch, dirichlet_eigenvalues,
@@ -22,12 +22,43 @@ SEED = 20260826
 
 
 def _check_wronskian():
+    """c s' - s c' = 1 at t = 1.  The half run gives it as (c s' - s c')^2
+    at 1/2; its symmetry c(1) = s'(1) holds by construction, so is not
+    checked."""
     worst = 0.0
     for spec in ("zero", "mathieu:20"):
         sol = integrate_monodromy(parse_potential(spec), np.linspace(-5.0, 100.0, 100))
-        worst = max(worst, np.max(np.abs(sol.wronskian - 1.0)),
-                    np.max(np.abs(sol.c1 - sol.s1p)))
-    return worst <= 1e-9, f"max wronskian/symmetry deviation {worst:.2e}"
+        worst = max(worst, np.max(np.abs(sol.wronskian - 1.0)))
+    return worst <= 1e-9, f"max wronskian deviation {worst:.2e}"
+
+
+def _full_interval(V, lams):
+    """The oracle of the half run: one _rk4_loop run over all of [0, 1] at
+    the default h, which does not use the evenness of V.  Returns Delta,
+    s(1), c'(1) and the Neumann and Dirichlet counts of eigenvalues below
+    lams, the latter from the zeros of c and s on (0, 1]."""
+    t_nodes = np.arange(2 * DEFAULT_STEPS + 1) * (0.5 / DEFAULT_STEPS)
+    Vn = np.ascontiguousarray(V(t_nodes), dtype=float)
+    lams = np.asarray(lams, dtype=float)
+    c1, c1p, s1, s1p, zeros_c, zeros_s = hill._rk4_loop(Vn, lams, DEFAULT_STEPS)
+    return s1p, s1, c1p, zeros_c + (c1 * c1p < 0.0), zeros_s
+
+
+def _check_half_interval():
+    """The half run, continued to t = 1 by the reflection at 1/2, against
+    the full-interval oracle: Delta, s(1) and c'(1) within 1e-9, and the
+    eigenvalue counts equal."""
+    lams = np.linspace(-30.0, 3000.0, 301)
+    worst, mismatches = 0.0, 0
+    for spec in ("zero", "mathieu:20"):
+        V = parse_potential(spec)
+        _, c1p, s1, delta, n_neu, n_dir = hill._rk4_fundamental(V, lams, DEFAULT_STEPS)
+        full = _full_interval(V, lams)
+        worst = max(worst, *(np.max(np.abs(a - b)) for a, b in zip((delta, s1, c1p), full)))
+        mismatches += int(np.sum(n_neu != full[3]) + np.sum(n_dir != full[4]))
+    return worst <= 1e-9 and mismatches == 0, (
+        f"max |half - full| of Delta, s(1), c'(1) {worst:.2e}, "
+        f"{mismatches} eigenvalue counts differ")
 
 
 def _check_step_doubling():
@@ -183,7 +214,8 @@ def _check_cover_containment():
 
 
 CHECKS = [
-    ("hill.wronskian_symmetry", _check_wronskian),
+    ("hill.wronskian", _check_wronskian),
+    ("hill.half_interval", _check_half_interval),
     ("hill.step_doubling", _check_step_doubling),
     ("hill.band_dirichlet_consistency", _check_band_dirichlet),
     ("jacobi.det_equals_tr", _check_det_tr),

@@ -36,7 +36,7 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 13 and all(ln.startswith("[PASS]") for ln in lines)
+    assert len(lines) == 14 and all(ln.startswith("[PASS]") for ln in lines)
 
 
 def test_butterfly_artifacts_and_determinism(tmp_path):

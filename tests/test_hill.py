@@ -20,6 +20,7 @@ from hexspec.hill import (
     invert_discriminant_on_band,
 )
 from hexspec.potentials import PotentialSpec, parse_potential
+from hexspec.verify import _full_interval
 
 V0 = parse_potential("zero")
 VM = parse_potential("mathieu:20")
@@ -61,7 +62,6 @@ def test_monodromy_zero_potential_at_zero_energy():
 def test_monodromy_mathieu_wronskian_and_symmetry():
     sol = integrate_monodromy(VM, 10.0)
     assert sol.wronskian == pytest.approx(1.0, abs=1e-9)
-    assert sol.c1 == pytest.approx(sol.s1p, abs=1e-9)
     assert sol.step_error <= 1e-9
 
 
@@ -76,7 +76,6 @@ def test_wronskian_property(lams):
     for V in (V0, VM):
         sol = integrate_monodromy(V, lams)
         assert np.max(np.abs(sol.wronskian - 1.0)) <= 1e-9
-        assert np.max(np.abs(sol.c1 - sol.s1p)) <= 1e-9
 
 
 def test_monodromy_batch_matches_scalar():
@@ -89,7 +88,7 @@ def test_monodromy_batch_matches_scalar():
 
 def test_monodromy_fields_come_from_one_run():
     # mixing the c1, c1p, s1 of one step count with the s1p of another makes
-    # the Wronskian and the c1 - s1p symmetry read the step error (~1.5e-12)
+    # the Wronskian read the step error (~1.5e-12)
     lams = np.linspace(-5.0, 100.0, 100)
     sol = integrate_monodromy(VM, lams)
     c1, c1p, s1, s1p = hill._rk4_fundamental(VM, lams, 2 * DEFAULT_STEPS)[:4]
@@ -98,7 +97,6 @@ def test_monodromy_fields_come_from_one_run():
     coarse = discriminant_batch(VM, lams)
     assert np.array_equal(sol.step_error, np.abs(coarse - sol.delta))
     assert np.max(np.abs(sol.wronskian - 1.0)) <= 1e-13
-    assert np.max(np.abs(sol.c1 - sol.s1p)) <= 1e-13
 
 
 def test_discriminant_is_one_integration(rk4_calls):
@@ -106,6 +104,29 @@ def test_discriminant_is_one_integration(rk4_calls):
     rk4_calls.clear()
     discriminant(VM, 10.0)
     assert rk4_calls == [1]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 4095])
+def test_steps_must_split_at_half(steps):
+    # the run stops at t = 1/2, so steps must be even; 0 divided by zero
+    with pytest.raises(DomainError):
+        discriminant_batch(V0, 10.0, steps)
+
+
+def test_kernel_integrates_half_the_interval(rk4_calls, monkeypatch):
+    nodes = []
+    counted = hill._rk4_loop
+
+    def recorded(Vn, lams, steps):
+        nodes.append(Vn.size)
+        return counted(Vn, lams, steps)
+
+    monkeypatch.setattr(hill, "_rk4_loop", recorded)
+    discriminant_batch(VM, [1.0, 10.0])
+    integrate_monodromy(VM, 10.0)
+    assert rk4_calls == [2, 1, 1]
+    # V at the starts and midpoints of the steps on [0, 1/2]
+    assert nodes == [DEFAULT_STEPS + 1, 2 * DEFAULT_STEPS + 1, DEFAULT_STEPS + 1]
 
 
 def test_discriminant_batch_keeps_the_shape_of_a_scalar():
@@ -170,6 +191,21 @@ def test_dirichlet_eigenvalues_at_band_edges():
 def _double_well():
     t = np.linspace(0.0, 1.0, 401)
     return PotentialSpec.tabulated(3000.0 * np.exp(-(((t - 0.5) / 0.06) ** 2)))
+
+
+@pytest.mark.parametrize("V", [V0, VM, parse_potential("mathieu:-20"),
+                               parse_potential("mathieu:-50"), _double_well()])
+def test_half_run_matches_full_interval_oracle(V):
+    # Delta, s(1) and c'(1) come from the values at 1/2 through the
+    # reflection, and the counts from the zeros of c and s on (0, 1/2] and
+    # the signs there; below the spectrum, where the values reach 1e6, the
+    # 1e-9 is relative
+    lams = np.linspace(-60.0, 3000.0, 1201)
+    _, c1p, s1, delta, n_neu, n_dir = hill._rk4_fundamental(V, lams, DEFAULT_STEPS)
+    full = _full_interval(V, lams)
+    for half, want in zip((delta, s1, c1p), full):
+        assert np.all(np.abs(half - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    assert np.array_equal(n_neu, full[3]) and np.array_equal(n_dir, full[4])
 
 
 def test_double_well_close_pairs():

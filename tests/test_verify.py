@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hexspec import jacobi, verify
+from hexspec import hill, jacobi, verify
 
 
 def test_trace_identity_check_passes():
@@ -33,4 +33,15 @@ def test_band_dirichlet_check_fails_on_perturbed_eigenvalues(monkeypatch, pertur
     monkeypatch.setattr(verify, "dirichlet_eigenvalues",
                         lambda *args: perturb(exact(*args)))
     ok, detail = verify._check_band_dirichlet()
+    assert not ok, detail
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda out: (out[0], out[1], out[2], out[3] + 1e-8) + out[4:],  # Delta off
+    lambda out: out[:5] + (out[5] + 1,),  # one Dirichlet eigenvalue too many
+])
+def test_half_interval_check_fails_on_perturbed_half_run(monkeypatch, perturb):
+    exact = hill._rk4_fundamental
+    monkeypatch.setattr(hill, "_rk4_fundamental", lambda *args: perturb(exact(*args)))
+    ok, detail = verify._check_half_interval()
     assert not ok, detail
