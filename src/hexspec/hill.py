@@ -9,6 +9,12 @@ M(t) = [[c, s], [c', s']] and R = diag(1, -1), the reflection t -> 1 - t
 gives M(1) = R M(1/2)^-1 R M(1/2); from the values at 1/2,
 Delta = c s' + s c', s(1) = 2 s s' and c'(1) = 2 c c'.
 
+The integrator is RK4 at h = 1/steps.  On this linear system an RK4 step
+is a 2x2 matrix, a polynomial in V - lambda at the step's start, midpoint
+and end, so the half run is a product of step matrices: built for many
+steps and energies at once, multiplied into blocks of 16 steps by a
+pairwise tree, and the blocks applied in order.
+
 Eigenvalues are found by Sturm oscillation counting on the same half run.
 An eigenfunction on [0, 1] is odd or even about 1/2, i.e. an eigenfunction
 on [0, 1/2] with the Dirichlet or the Neumann condition at 1/2.  Below
@@ -39,9 +45,17 @@ EDGE_TOL = 1e-12
 # (it scales with steps**2).  There sqrt(lambda) h = 0.077 rad per step, and
 # the RK4 phase error, which grows like its fifth power, stays far below pi.
 # The half-interval run keeps h = 1/steps, so this holds for it unchanged.
+# Zeros are counted as sign changes at the nodes of 16-step blocks, which is
+# exact while a block holds at most one zero of c or s, i.e. while
+# 16 h sqrt(lambda - min V) < pi: up to lambda - min V = 6.5e5 at 4096
+# steps, 6.5 times this bound, and the ratio does not depend on steps.
 COUNT_LAMBDA_MAX = 1e5
 # Energies of the one counting call that brackets every eigenvalue
 _COUNT_GRID = 64
+# Steps per block of the kernel's step-matrix product, and elements per
+# array in one chunk of steps x energies
+_BLOCK = 16
+_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -70,46 +84,70 @@ class HillBand:
     monotonicity: str  # "increasing" | "decreasing" (Delta on the interior)
 
 
+def _step_matrices(Vn: np.ndarray, lams: np.ndarray, h: float):
+    """E = P - I for each RK4 step P over Vn (V at step starts and midpoints)
+    and each energy: four arrays (E00, E01, E10, E11) of shape
+    (steps, energies).  With w0, wm, w1 = V - lam at the step's start,
+    midpoint and end,
+        E00 = h^2/6 (w0 + 2 wm) + h^4/24 w0 wm,   E01 = h + h^3/6 wm,
+        E10 = h/6 (w0 + 4 wm + w1 + h^2/2 wm (w0 + w1)),
+        E11 = h^2/6 (2 wm + w1) + h^4/24 w1 wm."""
+    wn = Vn[::2, None] - lams
+    wm = Vn[1::2, None] - lams
+    w0, w1 = wn[:-1], wn[1:]
+    a, b = h * h / 6.0, h**4 / 24.0
+    return (a * (w0 + 2.0 * wm) + b * (w0 * wm),
+            h + (h**3 / 6.0) * wm,
+            (h / 6.0) * (w0 + 4.0 * wm + w1 + (h * h / 2.0) * wm * (w0 + w1)),
+            a * (2.0 * wm + w1) + b * (w1 * wm))
+
+
+def _block_products(E):
+    """Multiply consecutive steps I + E into blocks of _BLOCK steps by a
+    pairwise tree, (I + Y)(I + X) = I + (X + Y + Y X) for X before Y, kept
+    in the I + E form, which holds the low bits of matrices near I."""
+    for _ in range(_BLOCK.bit_length() - 1):
+        x00, x01, x10, x11 = (e[0::2] for e in E)
+        y00, y01, y10, y11 = (e[1::2] for e in E)
+        E = (x00 + y00 + (y00 * x00 + y01 * x10),
+             x01 + y01 + (y00 * x01 + y01 * x11),
+             x10 + y10 + (y10 * x00 + y11 * x10),
+             x11 + y11 + (y10 * x01 + y11 * x11))
+    return E
+
+
 def _rk4_loop(Vn: np.ndarray, lams: np.ndarray, steps: int):
     """RK4 at step h = 1/steps on (u, u')' = (u', (V - lam) u) for both
     fundamental solutions, over the (len(Vn) - 1) / 2 steps that Vn spans:
-    Vn holds V at step starts and midpoints from t = 0.  c and s ride in one
-    state vector (c first), so each step costs one set of array operations.
-    Next to the state it counts the sign changes of c and of s across the
-    step nodes, i.e. their zeros in (0, t_end]."""
+    Vn holds V at step starts and midpoints from t = 0.  On this linear
+    system an RK4 step is the 2x2 matrix I + E, E a polynomial in V - lam at
+    the step's start, midpoint and end (_step_matrices), so the run is their
+    product.  For chunks of about _CHUNK elements the steps are built at
+    once and multiplied into blocks of _BLOCK steps (_block_products); a last
+    partial block is padded with E = 0, which is exact.  The blocks are then
+    applied in order to (c, c') and (s, s'), and the sign changes of c and s
+    across the block nodes count their zeros in (0, t_end]: a block holds at
+    most one zero (COUNT_LAMBDA_MAX).  Chunks hold whole blocks, so an
+    energy gets the same bits in any batch."""
     h = 1.0 / steps
     n = lams.shape[0]
-    lam2 = np.concatenate((lams, lams))
-    u = np.concatenate((np.ones_like(lams), np.zeros_like(lams)))
-    up = np.concatenate((np.zeros_like(lams), np.ones_like(lams)))
+    m = (Vn.shape[0] - 1) // 2
+    chunk = _BLOCK * max(1, _CHUNK // (_BLOCK * max(n, 1)))  # steps per chunk
+    u = np.stack((np.ones_like(lams), np.zeros_like(lams)))  # c, s
+    up = np.stack((np.zeros_like(lams), np.ones_like(lams)))
     neg = u < 0.0
-    zeros = np.zeros(2 * n, dtype=np.int64)
-    for i in range((Vn.shape[0] - 1) // 2):
-        w0 = Vn[2 * i] - lam2
-        wm = Vn[2 * i + 1] - lam2
-        w1 = Vn[2 * i + 2] - lam2
-        k1u = up
-        k1p = w0 * u
-        k2u = up + 0.5 * h * k1p
-        k2p = wm * (u + 0.5 * h * k1u)
-        k3u = up + 0.5 * h * k2p
-        k3p = wm * (u + 0.5 * h * k2u)
-        k4u = up + h * k3p
-        k4p = w1 * (u + h * k3u)
-        u, up = (u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-                 up + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
-        now = u < 0.0
-        zeros += now != neg
-        neg = now
-    return u[:n], up[:n], u[n:], up[n:], zeros[:n], zeros[n:]
-
-
-try:  # jit-compiled kernel; the numpy loop above is the fallback
-    from numba import njit
-
-    _rk4_loop = njit(cache=True)(_rk4_loop)
-except ImportError:  # pragma: no cover
-    pass
+    zeros = np.zeros((2, n), dtype=np.int64)
+    for i in range(0, m, chunk):
+        E = _step_matrices(Vn[2 * i:2 * min(m, i + chunk) + 1], lams, h)
+        pad = -E[0].shape[0] % _BLOCK
+        if pad:
+            E = tuple(np.concatenate((e, np.zeros((pad, n)))) for e in E)
+        for e00, e01, e10, e11 in zip(*_block_products(E)):
+            u, up = u + (e00 * u + e01 * up), up + (e10 * u + e11 * up)
+            now = u < 0.0
+            zeros += now != neg
+            neg = now
+    return u[0], up[0], u[1], up[1], zeros[0], zeros[1]
 
 
 def _rk4_fundamental(V: PotentialSpec, lams: np.ndarray, steps: int):
@@ -164,11 +202,14 @@ def discriminant_batch(
     return _rk4_fundamental(V, np.asarray(lams, dtype=float), steps)[3]
 
 
-# Halvings per call of f in _bisect_many.  Without numba the 4096-step
-# kernel costs about the same for up to ~63 energies as for one, and more
-# beyond, so 2**6 parts (63 cuts) per bracket buy six halvings for the cost
-# of one; timed at n * (2**L - 1) energies for n = 1, 5 and 11 brackets,
-# L = 6 gave the least total kernel time.
+# Halvings per call of f in _bisect_many.  The 4096-step kernel costs about
+# 1.3 ms plus 0.1 ms per energy (8 ms for 63 energies, 48 ms for 441, 0.2 s
+# for 2049; one core of a 2-vCPU VM), so past a few dozen energies a call
+# costs in proportion to them, and fewer levels would take less kernel time:
+# L = 3 takes hill_bands_first_n(mathieu:20, 3) from 0.53 to 0.18 s, in 15
+# calls of 722 energies against 8 of 2927.  L = 6 was chosen when a call
+# cost about the same for up to ~63 energies as for one; it stays until the
+# call-count guards of the tests are restated for this curve (ROADMAP).
 _LEVELS = 6
 _MAX_HALVINGS = 60
 

@@ -32,23 +32,63 @@ def _check_wronskian():
     return worst <= 1e-9, f"max wronskian deviation {worst:.2e}"
 
 
+def _rk4_steps(Vn: np.ndarray, lams: np.ndarray, steps: int):
+    """RK4 at step h = 1/steps on (u, u')' = (u', (V - lam) u) for both
+    fundamental solutions, one step at a time, over the (len(Vn) - 1) / 2
+    steps that Vn spans: Vn holds V at step starts and midpoints from t = 0.
+    c and s ride in one state vector (c first), so each step costs one set
+    of array operations.  Next to the state it counts the sign changes of c
+    and of s across the step nodes, i.e. their zeros in (0, t_end].  The
+    oracle of hill._rk4_loop: the same arguments and the same six arrays,
+    none of its arithmetic."""
+    h = 1.0 / steps
+    n = lams.shape[0]
+    lam2 = np.concatenate((lams, lams))
+    u = np.concatenate((np.ones_like(lams), np.zeros_like(lams)))
+    up = np.concatenate((np.zeros_like(lams), np.ones_like(lams)))
+    neg = u < 0.0
+    zeros = np.zeros(2 * n, dtype=np.int64)
+    for i in range((Vn.shape[0] - 1) // 2):
+        w0 = Vn[2 * i] - lam2
+        wm = Vn[2 * i + 1] - lam2
+        w1 = Vn[2 * i + 2] - lam2
+        k1u = up
+        k1p = w0 * u
+        k2u = up + 0.5 * h * k1p
+        k2p = wm * (u + 0.5 * h * k1u)
+        k3u = up + 0.5 * h * k2p
+        k3p = wm * (u + 0.5 * h * k2u)
+        k4u = up + h * k3p
+        k4p = w1 * (u + h * k3u)
+        u, up = (u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+                 up + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+        now = u < 0.0
+        zeros += now != neg
+        neg = now
+    return u[:n], up[:n], u[n:], up[n:], zeros[:n], zeros[n:]
+
+
 def _full_interval(V, lams):
-    """The oracle of the half run: one _rk4_loop run over all of [0, 1] at
-    the default h, which does not use the evenness of V.  Returns Delta,
-    s(1), c'(1) and the Neumann and Dirichlet counts of eigenvalues below
-    lams, the latter from the zeros of c and s on (0, 1]."""
+    """The oracle of the half run: one _rk4_steps run over all of [0, 1] at
+    the default h, which uses neither the evenness of V nor the kernel's
+    step-matrix product.  Returns Delta, s(1), c'(1) and the Neumann and
+    Dirichlet counts of eigenvalues below lams, the latter from the zeros of
+    c and s on (0, 1]."""
     t_nodes = np.arange(2 * DEFAULT_STEPS + 1) * (0.5 / DEFAULT_STEPS)
     Vn = np.ascontiguousarray(V(t_nodes), dtype=float)
     lams = np.asarray(lams, dtype=float)
-    c1, c1p, s1, s1p, zeros_c, zeros_s = hill._rk4_loop(Vn, lams, DEFAULT_STEPS)
+    c1, c1p, s1, s1p, zeros_c, zeros_s = _rk4_steps(Vn, lams, DEFAULT_STEPS)
     return s1p, s1, c1p, zeros_c + (c1 * c1p < 0.0), zeros_s
 
 
 def _check_half_interval():
     """The half run, continued to t = 1 by the reflection at 1/2, against
     the full-interval oracle: Delta, s(1) and c'(1) within 1e-9, and the
-    eigenvalue counts equal."""
-    lams = np.linspace(-30.0, 3000.0, 301)
+    eigenvalue counts equal.  The 30 energies above 3000 reach up to
+    COUNT_LAMBDA_MAX, where the kernel's count at block nodes has the least
+    margin."""
+    lams = np.concatenate((np.linspace(-30.0, 3000.0, 301),
+                           np.linspace(3000.0, hill.COUNT_LAMBDA_MAX, 31)[1:]))
     worst, mismatches = 0.0, 0
     for spec in ("zero", "mathieu:20"):
         V = parse_potential(spec)

@@ -20,7 +20,7 @@ from hexspec.hill import (
     invert_discriminant_on_band,
 )
 from hexspec.potentials import PotentialSpec, parse_potential
-from hexspec.verify import _full_interval
+from hexspec.verify import _full_interval, _rk4_steps
 
 V0 = parse_potential("zero")
 VM = parse_potential("mathieu:20")
@@ -29,9 +29,9 @@ VM = parse_potential("mathieu:20")
 @pytest.fixture
 def rk4_calls(monkeypatch):
     """Records the number of energies in each call of the integrator kernel;
-    a call costs about as much for a few hundred energies as for one, so the
-    calls and their energies guard the cost of root finding where wall time
-    is too noisy to."""
+    a call costs about 1.3 ms plus 0.1 ms per energy at the default steps,
+    so the calls and their energies guard the cost of root finding where
+    wall time is too noisy to."""
     calls = []
     kernel = hill._rk4_loop
     hill._eigenvalues.cache_clear()  # a cached counting pass makes no call
@@ -206,6 +206,49 @@ def test_half_run_matches_full_interval_oracle(V):
     for half, want in zip((delta, s1, c1p), full):
         assert np.all(np.abs(half - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
     assert np.array_equal(n_neu, full[3]) and np.array_equal(n_dir, full[4])
+
+
+def _stepwise(V, lams, steps, monkeypatch):
+    """_rk4_fundamental with the kernel swapped for the stepwise oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(hill, "_rk4_loop", _rk4_steps)
+        return hill._rk4_fundamental(V, lams, steps)
+
+
+def _assert_matches_stepwise(V, lams, steps, monkeypatch):
+    # Delta within 1e-12, relative where |Delta| > 1; the counts equal
+    _, _, _, delta, n_neu, n_dir = hill._rk4_fundamental(V, lams, steps)
+    want = _stepwise(V, lams, steps, monkeypatch)
+    assert np.all(np.abs(delta - want[3]) <= 1e-12 * np.maximum(1.0, np.abs(want[3])))
+    assert np.array_equal(n_neu, want[4]) and np.array_equal(n_dir, want[5])
+
+
+@pytest.mark.parametrize("V", [V0, VM, parse_potential("mathieu:-20"),
+                               parse_potential("mathieu:-50"), _double_well()])
+def test_block_product_matches_stepwise_rk4(V, monkeypatch):
+    # the counts come from sign changes at the nodes of 16-step blocks, which
+    # have the least margin at the top of the counting range
+    lams = np.linspace(V.min_value - 10.0, hill.COUNT_LAMBDA_MAX, 2001)
+    _assert_matches_stepwise(V, lams, DEFAULT_STEPS, monkeypatch)
+
+
+@pytest.mark.parametrize("steps", [66, 4100])
+def test_block_product_pads_a_partial_block(steps, monkeypatch):
+    # 33 and 2050 half-run steps: the last block is padded with identities
+    lmax = hill.COUNT_LAMBDA_MAX * (steps / DEFAULT_STEPS) ** 2
+    for V in (VM, _double_well()):
+        lams = np.linspace(V.min_value - 10.0, lmax, 501)
+        _assert_matches_stepwise(V, lams, steps, monkeypatch)
+
+
+def test_kernel_is_independent_of_batch():
+    # one energy fills a single chunk; in a batch of 2049 each chunk holds
+    # one block
+    lams = np.linspace(-30.0, hill.COUNT_LAMBDA_MAX, 2049)
+    batch = hill._rk4_fundamental(VM, lams, DEFAULT_STEPS)
+    for i in (0, 700, 2048):
+        one = hill._rk4_fundamental(VM, lams[i], DEFAULT_STEPS)
+        assert all(np.array_equal(a, b[i]) for a, b in zip(one, batch))
 
 
 def test_double_well_close_pairs():
