@@ -133,10 +133,13 @@ def _cmd_butterfly(args) -> int:
 
 
 def _parse_lambdas(text: str) -> list[float]:
-    if ":" in text:
-        a, b, n = text.split(":")
-        return [float(x) for x in np.linspace(float(a), float(b), int(n))]
-    return [float(x) for x in text.split(",")]
+    try:
+        if ":" in text:
+            a, b, n = text.split(":")
+            return [float(x) for x in np.linspace(float(a), float(b), int(n))]
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"bad lambdas {text!r}: a comma list or lo:hi:n") from exc
 
 
 def _cmd_lyapunov(args) -> int:

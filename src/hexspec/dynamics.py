@@ -121,6 +121,9 @@ def acceleration(
 def irrational_cover(alpha: float, n: int, holder_constant: float) -> CoverEstimate:
     """Cover of the spectrum at irrational flux quantum alpha built from its
     n-th convergent: rational bands inflated by C2 |alpha - p_n/q_n|^(1/2)."""
+    if n < 0 or holder_constant < 0:
+        raise DomainError(f"a cover needs n >= 0 and holder_constant >= 0, got "
+                          f"{n} and {holder_constant}")
     conv = continued_fraction(alpha, n + 1)
     if len(conv) <= n:
         raise DomainError(f"alpha={alpha} has no convergent of index {n}")

@@ -99,12 +99,7 @@ def golden_flux(n_convergents: int = 40) -> Flux:
 
 def reduced_fractions(q_max: int) -> list[tuple[int, int]]:
     """All reduced p/q with 1 <= q <= q_max and 0 <= p < q, ordered by (q, p)."""
-    out = [(0, 1)]
-    for q in range(2, q_max + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                out.append((p, q))
-    return out
+    return [(p, q) for q in range(1, q_max + 1) for p in range(q) if math.gcd(p, q) == 1]
 
 
 def parse_flux(text: str) -> Flux:

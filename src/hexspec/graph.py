@@ -123,6 +123,8 @@ def butterfly(
     cheap eigensolves per flux.  `threads` is accepted for compatibility and
     ignored: the fluxes run in one thread.
     """
+    if q_max < 1:
+        raise DomainError(f"q_max must be >= 1, got {q_max}")
     _, inverters, dir_lines = _hill_side(V, n_bands)
     fracs = reduced_fractions(q_max)
     qspectra = [q_spectrum(rational_spectrum(p, q)) for p, q in fracs]

@@ -50,8 +50,6 @@ EDGE_TOL = 1e-12
 # 16 h sqrt(lambda - min V) < pi: up to lambda - min V = 6.5e5 at 4096
 # steps, 6.5 times this bound, and the ratio does not depend on steps.
 COUNT_LAMBDA_MAX = 1e5
-# Energies of the one counting call that brackets every eigenvalue
-_COUNT_GRID = 64
 # Steps per block of the kernel's step-matrix product, and elements per
 # array in one chunk of steps x energies
 _BLOCK = 16
@@ -202,55 +200,38 @@ def discriminant_batch(
     return _rk4_fundamental(V, np.asarray(lams, dtype=float), steps)[3]
 
 
-# Halvings per call of f in _bisect_many.  The 4096-step kernel costs about
-# 1.3 ms plus 0.1 ms per energy (8 ms for 63 energies, 48 ms for 441, 0.2 s
-# for 2049; one core of a 2-vCPU VM), so past a few dozen energies a call
-# costs in proportion to them, and fewer levels would take less kernel time:
-# L = 3 takes hill_bands_first_n(mathieu:20, 3) from 0.53 to 0.18 s, in 15
-# calls of 722 energies against 8 of 2927.  L = 6 was chosen when a call
-# cost about the same for up to ~63 energies as for one; it stays until the
-# call-count guards of the tests are restated for this curve (ROADMAP).
-_LEVELS = 6
 _MAX_HALVINGS = 60
 
 
 def _bisect_many(f, lo, hi, increasing, xtol):
-    """Multisection on many brackets at once; returns the midpoints of the
+    """Bisection on many brackets at once; returns the midpoints of the
     final brackets.
 
     `increasing` says, per bracket or for all, which way f crosses zero.
-    Each call of f cuts every bracket into 2**_LEVELS equal parts: f maps
-    the cuts lo + (j / 2**_LEVELS) (hi - lo), j = 1 .. 2**_LEVELS - 1 (one
-    row per cut, one column per bracket), to values of the same shape.  If
-    f is below zero (above, where it decreases) at k of the cuts, part
-    k + 1 is the new bracket.  The last round cuts only as finely as xtol
-    needs.  Rounds stop once no bracket is wider than xtol, or after 60
-    halvings, which leave any bracket here a few ulp wide.
+    Each call of f maps the midpoints of all brackets to values of their
+    shape, and each bracket keeps the half where f changes sign.  Halvings
+    stop once no bracket is wider than xtol, or after 60, which leave any
+    bracket here a few ulp wide.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     sign = np.where(increasing, 1.0, -1.0)
-    halvings = 0
-    while halvings < _MAX_HALVINGS and np.max(hi - lo, initial=0.0) > xtol:
-        depth = min(_LEVELS, _MAX_HALVINGS - halvings)
-        while depth > 1 and np.max(hi - lo) <= xtol * 2 ** (depth - 1):
-            depth -= 1
-        parts = 2 ** depth
-        step = (hi - lo) / parts  # exact: a power of two
-        below = sign * f(lo + np.arange(1, parts)[:, None] * step) < 0.0
-        k = np.sum(below, axis=0)
-        lo, hi = lo + k * step, np.where(k + 1 < parts, lo + (k + 1) * step, hi)
-        halvings += depth
+    for _ in range(_MAX_HALVINGS):
+        if np.max(hi - lo, initial=0.0) <= xtol:
+            break
+        mid = 0.5 * (lo + hi)
+        below = sign * f(mid) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=16)
 def _eigenvalues(V: PotentialSpec, lambda_max: float, steps: int):
     """Neumann and Dirichlet eigenvalues below lambda_max, as two sorted
-    tuples.  One call counts at _COUNT_GRID energies, which brackets each
-    eigenvalue between two of them; one multisection on "count >= k" then
-    refines all brackets at once.  Cached, so the bands and the Dirichlet
-    eigenvalues of one window cost one pass."""
+    tuples.  One count at lambda_max gives how many there are of each
+    kind; the k-th of a kind is then bisected on "count >= k" from
+    [min V - 1, lambda_max], all of them in one batch.  Cached, so the
+    bands and the Dirichlet eigenvalues of one window cost one pass."""
     if lambda_max > COUNT_LAMBDA_MAX * (steps / DEFAULT_STEPS) ** 2:
         raise DomainError(f"lambda_max {lambda_max:g} is above the range where "
                           f"{steps} steps count eigenvalues exactly")
@@ -258,20 +239,17 @@ def _eigenvalues(V: PotentialSpec, lambda_max: float, steps: int):
     def count(lams):  # the numbers of Neumann and of Dirichlet eigenvalues below
         return _rk4_fundamental(V, lams, steps)[4:]
 
-    grid = np.linspace(V.min_value - 1.0, lambda_max, _COUNT_GRID)  # from below all
-    # the k-th eigenvalue of a kind lies below the first grid energy with a
-    # count >= k, and above the grid energy before it
-    counts = count(grid)
-    ks = [np.arange(1, n[-1] + 1) for n in counts]
+    ks = [np.arange(1, n + 1) for n in count(lambda_max)]
     kind = np.repeat([0, 1], [len(k) for k in ks])
-    right = np.concatenate([np.searchsorted(n, k) for n, k in zip(counts, ks)])
     k = np.concatenate(ks)
 
     def above(lams):  # > 0 where the k-th eigenvalue of its kind is below lams
         n_neu, n_dir = count(lams)
         return np.where(kind == 1, n_dir, n_neu) - k + 0.5
 
-    roots = _bisect_many(above, grid[right - 1], grid[right], True, xtol=EDGE_TOL)
+    # no eigenvalue lies below min V
+    roots = _bisect_many(above, np.full(k.size, V.min_value - 1.0),
+                         np.full(k.size, lambda_max), True, xtol=EDGE_TOL)
     return tuple(roots[kind == 0].tolist()), tuple(roots[kind == 1].tolist())
 
 
@@ -307,6 +285,8 @@ def hill_bands_first_n(
     V: PotentialSpec, n_bands: int, steps: int = DEFAULT_STEPS
 ) -> list[HillBand]:
     """First n Hill bands, from one pass up to bands_window(V, n_bands)."""
+    if n_bands < 1:
+        raise DomainError(f"the number of Hill bands must be >= 1, got {n_bands}")
     return hill_bands(V, bands_window(V, n_bands), steps)[:n_bands]
 
 

@@ -33,6 +33,24 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bands", "--flux", "1/3", "--potential", "mathieu:20", "--hill-bands", "0"],
+    ["bands", "--flux", "1/3", "--potential", "mathieu:20", "--hill-bands", "-2"],
+    ["butterfly", "--hill-bands", "0"],
+    ["butterfly", "--qmax", "0"],
+    ["lyapunov", "--lambdas=1:2:x"],
+    ["lyapunov", "--lambdas=abc"],
+    ["cover", "--level", "-1"],
+    ["cover", "--c2", "-1"],
+])
+def test_bad_inputs_exit_with_an_error_line(argv, tmp_path, capsys):
+    if argv[0] == "butterfly":
+        argv = argv + ["--output", str(tmp_path / "bf.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
