@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Track the nested rational-convergent covers of an irrational-flux spectrum:
-per level, the convergent, the cover measure, and whether the next cover is
-contained in the inflated current one.
+per level, the convergent, the cover measure, q times the measure of the
+uninflated rational spectrum Sigma_{p/q} (about 4.57 at q >= 1597, so |Sigma|
+falls like 1/q), and whether the next cover is contained in the inflated
+current one.
 
 Example:
     python scripts/cantor_covers.py --alpha golden --levels 9
+    python scripts/cantor_covers.py --levels 18    # to q = 6765, ~10 s
 """
 
 import argparse
@@ -13,6 +16,7 @@ import sys
 
 from hexspec.dynamics import holder_probe, irrational_cover
 from hexspec.flux import Flux, parse_flux
+from hexspec.jacobi import rational_spectrum
 
 
 def main() -> int:
@@ -36,17 +40,17 @@ def main() -> int:
         print(f"# fitted C2 = {c2:.3f} from {len(ratios)} consecutive pairs")
 
     covers = [irrational_cover(flux.alpha, n, c2) for n in range(len(conv))]
-    print(f"{'n':>3} {'p/q':>9} {'|S_n|':>9} {'|S_n|*q':>9} {'bands':>6}  nested")
-    for a, b in zip(covers, covers[1:]):
-        radius = c2 * math.sqrt(abs(a.p_n / a.q_n - b.p_n / b.q_n))
-        nested = a.intervals.inflated(radius).merged().covers(b.intervals)
+    print(f"{'n':>3} {'p/q':>11} {'|S_n|':>9} {'|S_n|*q':>9} {'q|Sigma|':>9} "
+          f"{'bands':>6}  nested")
+    for a, b in zip(covers, covers[1:] + [None]):
+        nested = "-"
+        if b is not None:
+            radius = c2 * math.sqrt(abs(a.p_n / a.q_n - b.p_n / b.q_n))
+            nested = "yes" if a.intervals.inflated(radius).merged().covers(b.intervals) else "NO"
         m = a.intervals.measure
-        print(f"{a.n:>3} {a.p_n:>4}/{a.q_n:<4} {m:9.4f} {m * a.q_n:9.3f} "
-              f"{len(a.intervals):>6}  {'yes' if nested else 'NO'}")
-    last = covers[-1]
-    m = last.intervals.measure
-    print(f"{last.n:>3} {last.p_n:>4}/{last.q_n:<4} {m:9.4f} "
-          f"{m * last.q_n:9.3f} {len(last.intervals):>6}  -")
+        sigma = rational_spectrum(a.p_n, a.q_n).measure
+        print(f"{a.n:>3} {a.p_n:>5}/{a.q_n:<5} {m:9.4f} {m * a.q_n:9.3f} "
+              f"{sigma * a.q_n:9.4f} {len(a.intervals):>6}  {nested}")
     return 0
 
 

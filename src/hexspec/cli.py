@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 
@@ -136,10 +137,14 @@ def _parse_lambdas(text: str) -> list[float]:
     try:
         if ":" in text:
             a, b, n = text.split(":")
-            return [float(x) for x in np.linspace(float(a), float(b), int(n))]
-        return [float(x) for x in text.split(",")]
+            lams = [float(x) for x in np.linspace(float(a), float(b), int(n))]
+        else:
+            lams = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"bad lambdas {text!r}: a comma list or lo:hi:n") from exc
+    if not all(math.isfinite(x) for x in lams):
+        raise DomainError(f"bad lambdas {text!r}: every energy must be finite")
+    return lams
 
 
 def _cmd_lyapunov(args) -> int:
@@ -253,6 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.fn(args)
     except HexspecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -143,8 +143,7 @@ def holder_probe(flux1: Flux, flux2: Flux) -> dict:
         raise DomainError("holder_probe needs two rational fluxes")
     s1 = rational_spectrum(flux1.p, flux1.q)
     s2 = rational_spectrum(flux2.p, flux2.q)
-    endpoints = [e for iv in s1.intervals for e in iv]
-    sup = max((s2.distance(e) for e in endpoints), default=0.0)
+    sup = float(np.max(s2.distance(s1.endpoints()), initial=0.0))
     dphi = abs(flux1.phi - flux2.phi)
     ratio = sup / math.sqrt(dphi) if dphi > 0 else 0.0
     return {

@@ -237,7 +237,12 @@ def _eigenvalues(V: PotentialSpec, lambda_max: float, steps: int):
                           f"{steps} steps count eigenvalues exactly")
 
     def count(lams):  # the numbers of Neumann and of Dirichlet eigenvalues below
-        return _rk4_fundamental(V, lams, steps)[4:]
+        # brackets share midpoints (all start alike, and at a closed gap a
+        # Neumann and a Dirichlet one follow the same point), so each distinct
+        # energy is integrated once; the kernel's bits do not depend on the batch
+        distinct, back = np.unique(lams, return_inverse=True)
+        n_neu, n_dir = _rk4_fundamental(V, distinct, steps)[4:]
+        return n_neu[back].reshape(np.shape(lams)), n_dir[back].reshape(np.shape(lams))
 
     ks = [np.arange(1, n + 1) for n in count(lambda_max)]
     kind = np.repeat([0, 1], [len(k) for k in ks])

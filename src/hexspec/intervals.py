@@ -69,16 +69,19 @@ class BandList:
                 return False
         return True
 
-    def distance(self, x: float) -> float:
-        """Distance from the point x to the union of intervals."""
+    def distance(self, x):
+        """Distance from the point x, or from each point of an array x, to
+        the union of intervals: from the furthest reach of the intervals
+        starting at or left of x, and from the start of the next one."""
+        x = np.asarray(x, dtype=float)
         if not self.intervals:
-            return np.inf
-        best = np.inf
-        for lo, hi in self.intervals:
-            if lo <= x <= hi:
-                return 0.0
-            best = min(best, abs(x - lo), abs(x - hi))
-        return best
+            return np.full(x.shape, np.inf)[()]
+        iv = np.array(self.intervals)
+        reach = np.maximum.accumulate(iv[:, 1])
+        i = np.searchsorted(iv[:, 0], x, side="right")
+        left = np.where(i > 0, x - reach[np.maximum(i - 1, 0)], np.inf)
+        right = np.where(i < len(iv), iv[np.minimum(i, len(iv) - 1), 0] - x, np.inf)
+        return np.maximum(np.minimum(left, right), 0.0)[()]
 
     def endpoints(self) -> np.ndarray:
         return np.array([e for iv in self.intervals for e in iv])

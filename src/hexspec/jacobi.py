@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,24 +120,66 @@ def build_Mq(theta: float, p: int, q: int) -> np.ndarray:
     return _bloch_blocks(p, q, [0.5], [0.0])[0]
 
 
+def _bloch_coefficients(p: int, q: int, thetas, phases):
+    """The entries of the periodic q x q Jacobi blocks, one per (theta,
+    phase) pair: the diagonal v(theta - j p/q), shape (n, q), the
+    off-diagonal |c(theta - (j+1) p/q)|, shape (n, q - 1), and the corner
+    phase * |c(theta)|, shape (n,)."""
+    thetas = np.asarray(thetas, dtype=float)
+    shifted = thetas[:, None] - np.arange(q) * (p / q)
+    corner = np.asarray(phases) * np.abs(coeff_c(thetas))
+    return coeff_v(shifted), np.abs(coeff_c(shifted[:, 1:])), corner
+
+
 def _bloch_blocks(p: int, q: int, thetas, phases) -> np.ndarray:
     """Periodic q x q Jacobi blocks, one per (theta, phase) pair, shape
-    (len(thetas), q, q): diagonal v(theta - j p/q), off-diagonal
-    |c(theta - (j+1) p/q)|, corners phase * |c(theta)| and its conjugate,
-    added onto shared entries (q <= 2).  Real phases give a real float64
-    array, complex ones a complex array."""
-    thetas = np.asarray(thetas, dtype=float)
-    phases = np.asarray(phases)
+    (len(thetas), q, q), from _bloch_coefficients: the corner goes to
+    (0, q - 1) and its conjugate to (q - 1, 0), added onto shared entries
+    (q <= 2).  Real phases give a real float64 array, complex ones a complex
+    array."""
+    diag, off, corner = _bloch_coefficients(p, q, thetas, phases)
     j = np.arange(q)
-    M = np.zeros((thetas.size, q, q), dtype=phases.dtype)
-    M[:, j, j] = coeff_v(thetas[:, None] - j * (p / q))
-    off = np.abs(coeff_c(thetas[:, None] - j[1:] * (p / q)))
+    M = np.zeros((corner.size, q, q), dtype=corner.dtype)
+    M[:, j, j] = diag
     M[:, j[1:], j[:-1]] = off
     M[:, j[:-1], j[1:]] = off
-    corner = phases * np.abs(coeff_c(thetas))
     M[:, 0, q - 1] += corner
     M[:, q - 1, 0] += np.conj(corner)
     return M
+
+
+@lru_cache(maxsize=128)
+def _band_slots(q: int):
+    """Where the entries that _bloch_blocks writes land in LAPACK lower band
+    storage of the block in ring order 0, q-1, 1, q-2, ..., which puts every
+    ring edge, the corner included, at most 2 apart.  The entries are taken
+    in _bloch_blocks' order (diagonal, off-diagonal below and above, corner
+    above and below); returns the indices of those in the lower triangle and
+    their flat slots in the (min(q, 3), q) band array.  At q = 1 both
+    corners land on the diagonal and at q = 2 one on the off-diagonal, so
+    they are summed there as _bloch_blocks sums them."""
+    ring = np.empty(q, dtype=np.intp)
+    ring[0::2] = np.arange((q + 1) // 2)
+    ring[1::2] = q - 1 - np.arange(q // 2)
+    pos = np.argsort(ring)
+    j = np.arange(q)
+    rows = pos[np.concatenate((j, j[1:], j[:-1], [0, q - 1]))]
+    cols = pos[np.concatenate((j, j[:-1], j[1:], [q - 1, 0]))]
+    keep = np.flatnonzero(rows >= cols)
+    return keep, ((rows - cols) * q + cols)[keep]
+
+
+def _banded_blocks(p: int, q: int, thetas, phases) -> np.ndarray:
+    """The real blocks of _bloch_blocks (real phases) in lower band storage
+    of the ring order, shape (len(thetas), min(q, 3), q); no q x q array is
+    formed."""
+    diag, off, corner = _bloch_coefficients(p, q, thetas, phases)
+    keep, slots = _band_slots(q)
+    entries = np.concatenate((diag, off, off, corner[:, None], corner[:, None]), axis=1)
+    size = min(q, 3) * q
+    flat = (slots + size * np.arange(corner.size)[:, None]).ravel()
+    ab = np.bincount(flat, entries[:, keep].ravel(), minlength=corner.size * size)
+    return ab.reshape(corner.size, min(q, 3), q)
 
 
 def build_Mq_nu(theta: float, nu: float, p: int, q: int) -> np.ndarray:
@@ -175,15 +218,25 @@ def rational_spectrum(p: int, q: int) -> BandList:
     for even q: the union over theta of the per-theta spectra, exactly q
     possibly-touching bands.  Band k runs between the k-th eigenvalues of the
     nu = 1/2 block at the first extremizing angle (G_q = min I_q) and of the
-    nu = 0 block at the second (G_q = max I_q), from one real eigvalsh call.
-    The bottom edge is exactly -3 for every p/q (Chambers); it is pinned
-    there, as the eigensolve puts it a few ulp off and the square root in
-    q_spectrum would open a gap at 0."""
+    nu = 0 block at the second (G_q = max I_q).  Each block is a ring, so in
+    the ring order it has bandwidth 2: it is built in band storage and solved
+    by LAPACK dsbev, O(q^2) time and O(q) memory (the dense blocks of
+    _bloch_blocks remain the tests' oracle).  The bottom edge is exactly -3
+    for every p/q (Chambers); it is pinned there, as the eigensolve puts it a
+    few ulp off and the square root in q_spectrum would open a gap at 0."""
+    from scipy.linalg.lapack import dsbev  # keeps scipy out of `import hexspec`
+
     if math.gcd(p, q) != 1:
         raise DomainError(f"flux {p}/{q} is not reduced")
-    eigs = np.linalg.eigvalsh(_bloch_blocks(p, q, _theta_stars(q), [-1.0, 1.0]))
-    los, his = eigs.min(axis=0), eigs.max(axis=0)
+    eigs = []
+    for ab in _banded_blocks(p, q, _theta_stars(q), [-1.0, 1.0]):
+        w, _, info = dsbev(ab, compute_v=0, lower=1)
+        if info != 0:
+            raise ConsistencyError(f"dsbev failed with info={info} at p/q={p}/{q}")
+        eigs.append(w)
+    # both arrays ascend, so their elementwise min and max do too
+    los, his = np.minimum(*eigs), np.maximum(*eigs)
     if abs(los[0] + 3.0) > 1e-10:
         raise ConsistencyError(f"bottom of Sigma for p/q={p}/{q} is {los[0]!r}, not -3")
     los[0] = -3.0
-    return BandList.from_pairs(zip(los, his))
+    return BandList(tuple(zip(los.tolist(), his.tolist())))

@@ -192,6 +192,21 @@ def _check_trace_identity():
                 f"scaled det(D_q) - |prod c|^2 deviation {worst_det:.2e}")
 
 
+def _check_banded_vs_dense():
+    """Sigma from rational_spectrum's banded solve against the hull of the
+    dense eigvalsh of the same two blocks (_bloch_blocks)."""
+    worst = 0.0
+    for p, q in ((0, 1), (1, 2), (2, 7), (55, 89)):
+        eigs = np.linalg.eigvalsh(
+            jacobi._bloch_blocks(p, q, jacobi._theta_stars(q), [-1.0, 1.0]))
+        dense = np.stack((eigs.min(axis=0), eigs.max(axis=0)), axis=1)
+        banded = np.array(jacobi.rational_spectrum(p, q).intervals)
+        if banded.shape != dense.shape:
+            return False, f"{len(banded)} bands at p/q={p}/{q}, dense gives {q}"
+        worst = max(worst, float(np.max(np.abs(banded - dense))))
+    return worst <= 1e-12, f"max |banded - dense| Sigma edge {worst:.2e}"
+
+
 def _check_measure_decay():
     fib = [(1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21)]
     prev = math.inf
@@ -262,6 +277,7 @@ CHECKS = [
     ("jacobi.chambers_theta_independence", _check_chambers),
     ("jacobi.lidskii_bound", _check_lidskii),
     ("jacobi.normalized_trace_identity", _check_trace_identity),
+    ("jacobi.banded_vs_dense", _check_banded_vs_dense),
     ("jacobi.measure_decay", _check_measure_decay),
     ("qlambda.symmetry_and_zero", _check_q_symmetry),
     ("qlambda.norm_bound", _check_norm_bound),

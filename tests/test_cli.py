@@ -42,6 +42,11 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
     ["lyapunov", "--lambdas=abc"],
     ["cover", "--level", "-1"],
     ["cover", "--c2", "-1"],
+    ["cover", "--c2", "inf"],
+    ["loopstate", "--phi", "nan"],
+    ["loopstate", "--phi", "1.0", "--lambda-max", "inf"],
+    ["lyapunov", "--lambdas=nan,inf"],
+    ["lyapunov", "--tolerance", "nan"],
 ])
 def test_bad_inputs_exit_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] == "butterfly":
@@ -54,7 +59,7 @@ def test_bad_inputs_exit_with_an_error_line(argv, tmp_path, capsys):
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 14 and all(ln.startswith("[PASS]") for ln in lines)
+    assert len(lines) == 15 and all(ln.startswith("[PASS]") for ln in lines)
 
 
 def test_butterfly_artifacts_and_determinism(tmp_path):

@@ -147,6 +147,8 @@ def test_discriminant_zero_potential_values():
 def test_hill_bands_zero_potential(rk4_calls):
     bands = hill_bands(V0, 25 * math.pi ** 2 + 1.0)
     assert _cost_ms(rk4_calls) <= 150
+    # 529 energies, of which 276 distinct: each is integrated once
+    assert sum(rk4_calls) <= 300
     assert len(bands) >= 5
     for k, b in enumerate(bands[:5], start=1):
         assert b.alpha == pytest.approx(math.pi ** 2 * (k - 1) ** 2, abs=1e-8)

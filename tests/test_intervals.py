@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +30,17 @@ def test_distance_zero_iff_contained(ps, x):
         assert b.distance(x) == 0.0
     else:
         assert b.distance(x) > 0.0 or not b.intervals
+
+
+@settings(max_examples=100)
+@given(pairs, st.lists(st.floats(-12, 12), max_size=6))
+def test_distance_of_an_array_is_the_distance_to_the_nearest_interval(ps, xs):
+    # intervals may overlap here, so the reach of an earlier one can matter
+    b = BandList.from_pairs(ps)
+    want = [min((0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
+                 for lo, hi in b), default=math.inf) for x in xs]
+    assert b.distance(np.array(xs)).tolist() == want
+    assert [b.distance(x) for x in xs] == want
 
 
 @settings(max_examples=50)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hexspec import jacobi
 from hexspec.errors import ConsistencyError, DomainError
-from hexspec.flux import Flux, reduced_fractions
+from hexspec.flux import Flux, golden_flux, reduced_fractions
 from hexspec.jacobi import (
     _theta_stars,
     _trace_Dq,
@@ -294,13 +294,47 @@ def test_stacked_blocks_match_per_entry_construction():
         assert np.max(np.abs(got - np.stack((lo, hi), axis=1))) <= 1e-12
 
 
-def test_rational_spectrum_makes_one_real_eigvalsh_call(eigvalsh_calls):
+def test_rational_spectrum_solves_two_banded_blocks(eigvalsh_calls, monkeypatch):
+    # no dense eigvalsh: each deciding block goes to LAPACK dsbev as a float64
+    # band array of the ring order, bandwidth 2
+    import scipy.linalg.lapack as lapack
+
+    band_calls = []
+    dsbev = lapack.dsbev
+
+    def recorded(ab, *args, **kwargs):
+        band_calls.append(ab)
+        return dsbev(ab, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dsbev", recorded)
     for p, q in ((0, 1), (1, 2), (2, 7), (13, 21), (55, 89)):
-        eigvalsh_calls.clear()
+        band_calls.clear()
         rational_spectrum(p, q)
-        assert len(eigvalsh_calls) == 1
-        assert eigvalsh_calls[0].dtype == np.float64
-        assert eigvalsh_calls[0].shape == (2, q, q)
+        assert eigvalsh_calls == []
+        assert len(band_calls) == 2
+        for ab in band_calls:
+            assert ab.dtype == np.float64 and ab.shape == (min(q, 3), q)
+
+
+def test_banded_sigma_matches_dense_hull():
+    # the hull of the dense eigvalsh of the same two blocks, q = 1 and 2
+    # (shared entries) included
+    for p, q in reduced_fractions(100):
+        eigs = np.linalg.eigvalsh(jacobi._bloch_blocks(p, q, _theta_stars(q), [-1.0, 1.0]))
+        want = np.stack((eigs.min(axis=0), eigs.max(axis=0)), axis=1)
+        got = np.array(rational_spectrum(p, q).intervals)
+        assert got.shape == (q, 2)
+        assert np.max(np.abs(got - want)) <= 1e-12, (p, q)
+
+
+def test_bottom_edge_passes_the_pin_guard_at_golden_convergents():
+    # rational_spectrum raises ConsistencyError if the solve's bottom edge is
+    # more than 1e-10 from -3
+    for p, q in golden_flux().convergents:
+        if q > 4181:
+            break
+        sigma = rational_spectrum(p, q)
+        assert len(sigma) == q and sigma.intervals[0][0] == -3.0
 
 
 def test_rational_spectrum_rejects_a_bottom_edge_far_from_minus_three(monkeypatch):

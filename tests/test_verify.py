@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hexspec import hill, jacobi, verify
+from hexspec.intervals import BandList
 
 
 def test_trace_identity_check_passes():
@@ -44,4 +45,12 @@ def test_half_interval_check_fails_on_perturbed_half_run(monkeypatch, perturb):
     exact = hill._rk4_fundamental
     monkeypatch.setattr(hill, "_rk4_fundamental", lambda *args: perturb(exact(*args)))
     ok, detail = verify._check_half_interval()
+    assert not ok, detail
+
+
+def test_banded_vs_dense_check_fails_on_moved_edges(monkeypatch):
+    exact = jacobi.rational_spectrum
+    monkeypatch.setattr(jacobi, "rational_spectrum", lambda p, q: BandList(
+        tuple((lo + 1e-10, hi + 1e-10) for lo, hi in exact(p, q))))
+    ok, detail = verify._check_banded_vs_dense()
     assert not ok, detail
