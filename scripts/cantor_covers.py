@@ -7,14 +7,15 @@ current one.
 
 Example:
     python scripts/cantor_covers.py --alpha golden --levels 9
-    python scripts/cantor_covers.py --levels 18    # to q = 6765, ~10 s
+    python scripts/cantor_covers.py --levels 18    # to q = 6765, ~3 s
 """
 
 import argparse
 import math
 import sys
 
-from hexspec.dynamics import holder_probe, irrational_cover
+import numpy as np
+
 from hexspec.flux import Flux, parse_flux
 from hexspec.jacobi import rational_spectrum
 
@@ -29,28 +30,33 @@ def main() -> int:
 
     flux = parse_flux(args.alpha)
     conv = flux.convergents[: args.levels + 1]
+    # each Sigma_{p_n/q_n} is solved once; the ratios are holder_probe's and
+    # the covers irrational_cover's, computed from these
+    sigmas = [rational_spectrum(p, q) for p, q in conv]
 
     c2 = args.c2
     if c2 is None:
         ratios = [
-            holder_probe(Flux.rational(*a), Flux.rational(*b))["ratio"]
-            for a, b in zip(conv[2:], conv[3:])
+            float(np.max(s2.distance(s1.endpoints()), initial=0.0))
+            / math.sqrt(abs(Flux.rational(*a).phi - Flux.rational(*b).phi))
+            for a, b, s1, s2 in zip(conv[2:], conv[3:], sigmas[2:], sigmas[3:])
         ]
         c2 = 1.5 * max(ratios)
         print(f"# fitted C2 = {c2:.3f} from {len(ratios)} consecutive pairs")
 
-    covers = [irrational_cover(flux.alpha, n, c2) for n in range(len(conv))]
+    covers = [s.inflated(c2 * math.sqrt(abs(flux.alpha - p / q)))
+              for (p, q), s in zip(conv, sigmas)]
     print(f"{'n':>3} {'p/q':>11} {'|S_n|':>9} {'|S_n|*q':>9} {'q|Sigma|':>9} "
           f"{'bands':>6}  nested")
-    for a, b in zip(covers, covers[1:] + [None]):
+    for n, ((p, q), sigma, cover) in enumerate(zip(conv, sigmas, covers)):
         nested = "-"
-        if b is not None:
-            radius = c2 * math.sqrt(abs(a.p_n / a.q_n - b.p_n / b.q_n))
-            nested = "yes" if a.intervals.inflated(radius).merged().covers(b.intervals) else "NO"
-        m = a.intervals.measure
-        sigma = rational_spectrum(a.p_n, a.q_n).measure
-        print(f"{a.n:>3} {a.p_n:>5}/{a.q_n:<5} {m:9.4f} {m * a.q_n:9.3f} "
-              f"{sigma * a.q_n:9.4f} {len(a.intervals):>6}  {nested}")
+        if n + 1 < len(conv):
+            p1, q1 = conv[n + 1]
+            radius = c2 * math.sqrt(abs(p / q - p1 / q1))
+            nested = "yes" if cover.inflated(radius).covers(covers[n + 1]) else "NO"
+        m = cover.measure
+        print(f"{n:>3} {p:>5}/{q:<5} {m:9.4f} {m * q:9.3f} "
+              f"{sigma.measure * q:9.4f} {len(cover):>6}  {nested}")
     return 0
 
 

@@ -130,7 +130,7 @@ def irrational_cover(alpha: float, n: int, holder_constant: float) -> CoverEstim
     p_n, q_n = conv[n]
     diff = abs(alpha - p_n / q_n)
     radius = holder_constant * math.sqrt(diff)
-    cover = rational_spectrum(p_n, q_n).inflated(radius).merged()
+    cover = rational_spectrum(p_n, q_n).inflated(radius)
     bound = 16.0 * math.pi / (3.0 * q_n) + 2.0 * holder_constant * q_n * math.sqrt(diff)
     return CoverEstimate(n=n, p_n=p_n, q_n=q_n, radius=radius,
                          intervals=cover, bound=bound)

@@ -60,11 +60,11 @@ def _pullback(qspectra: list[QSpectrum], inv):
     Returns the (lo, hi) rows of all spectra, each spectrum's in Q-band order,
     the number of rows per spectrum, and the inverter's model residual
     max |Delta(lambda) - w| over the endpoints."""
-    w = np.array([iv for qs in qspectra for iv in qs.bands.intervals],
-                 dtype=float).reshape(-1, 2)
+    lo = np.concatenate([qs.bands.lo for qs in qspectra])
+    hi = np.concatenate([qs.bands.hi for qs in qspectra])
     spectrum = np.repeat(np.arange(len(qspectra)), [len(qs.bands) for qs in qspectra])
-    keep = (w[:, 1] >= -1.0) & (w[:, 0] <= 1.0)
-    w = np.clip(w[keep], -1.0, 1.0)
+    keep = (hi >= -1.0) & (lo <= 1.0)
+    w = np.clip(np.stack((lo, hi), axis=1)[keep], -1.0, 1.0)
     lams = inv(w)
     residual = float(np.max(np.abs(inv.delta(lams) - w), initial=0.0))
     # the image of [w1, w2] is [min, max] of its ends' images, whichever way

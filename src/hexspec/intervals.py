@@ -1,87 +1,93 @@
-"""Sorted lists of closed intervals with measure accounting.
-
-Bands coming out of the spectral routines may touch (share an endpoint)
-but never overlap.  Touching bands are kept separate -- band counting
-matters -- and only merged on demand.
-"""
+"""Band sets: sorted closed intervals with measure accounting, held as two
+read-only float64 arrays, the left ends `lo` and the right ends `hi`.  The
+spectral routines give bands that may touch (share an endpoint) but never
+overlap, so both arrays ascend; touching bands are kept separate -- band
+counting matters -- and only merged on demand."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MERGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandList:
-    """Sorted list of closed intervals [lo, hi], non-overlapping up to tolerance."""
+    """Closed intervals [lo[i], hi[i]]; `intervals` views them as tuples."""
 
-    intervals: tuple[tuple[float, float], ...] = field(default_factory=tuple)
+    lo: np.ndarray = ()
+    hi: np.ndarray = ()
+
+    def __post_init__(self):
+        lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError(f"lo and hi must be 1-D of one length, not {lo.shape}, {hi.shape}")
+        lo.flags.writeable = hi.flags.writeable = False
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @staticmethod
     def from_pairs(pairs) -> "BandList":
-        ivs = sorted((float(lo), float(hi)) for lo, hi in pairs)
-        for lo, hi in ivs:
-            if hi < lo - MERGE_TOL:
-                raise ValueError(f"inverted interval [{lo}, {hi}]")
-        return BandList(tuple((lo, max(lo, hi)) for lo, hi in ivs))
+        """Band set from (lo, hi) pairs in any order, sorted by (lo, hi)."""
+        ivs = np.array([(lo, hi) for lo, hi in pairs], dtype=float).reshape(-1, 2)
+        lo, hi = ivs[np.lexsort((ivs[:, 1], ivs[:, 0]))].T
+        bad = np.flatnonzero(hi < lo - MERGE_TOL)
+        if bad.size:
+            raise ValueError(f"inverted interval [{lo[bad[0]]}, {hi[bad[0]]}]")
+        return BandList(lo, np.maximum(lo, hi))
+
+    @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
 
     def __len__(self):
-        return len(self.intervals)
-
-    def __iter__(self):
-        return iter(self.intervals)
+        return len(self.lo)
 
     @property
     def measure(self) -> float:
-        """Total length, counting overlapping stretches once."""
-        return sum(hi - lo for lo, hi in self.merged())
+        """Total length, counting overlapping stretches once, summed in order."""
+        m = self.merged()
+        return float(np.cumsum(m.hi - m.lo)[-1]) if len(m) else 0.0
 
     def merged(self, tol: float = MERGE_TOL) -> "BandList":
-        """Coalesce intervals whose gap is <= tol."""
-        if not self.intervals:
+        """Coalesce intervals whose gap to the reach of those before is <= tol."""
+        if not len(self):
             return self
-        out = [list(self.intervals[0])]
-        for lo, hi in self.intervals[1:]:
-            if lo <= out[-1][1] + tol:
-                out[-1][1] = max(out[-1][1], hi)
-            else:
-                out.append([lo, hi])
-        return BandList(tuple((lo, hi) for lo, hi in out))
+        reach = np.maximum.accumulate(self.hi)
+        starts = np.flatnonzero(np.concatenate(([True], self.lo[1:] > reach[:-1] + tol)))
+        return BandList(self.lo[starts], np.maximum.reduceat(self.hi, starts))
 
     def inflated(self, radius: float) -> "BandList":
         """Each interval grown by radius on both sides, then merged."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        grown = BandList(tuple((lo - radius, hi + radius) for lo, hi in self.intervals))
-        return grown.merged()
+        return BandList(self.lo - radius, self.hi + radius).merged()
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(lo - tol <= x <= hi + tol for lo, hi in self.intervals)
+        return bool(np.any((self.lo - tol <= x) & (x <= self.hi + tol)))
 
     def covers(self, other: "BandList", tol: float = 1e-12) -> bool:
-        """True if every interval of `other` lies inside some merged interval of self."""
-        mine = self.merged().intervals
-        for lo, hi in other.merged().intervals:
-            if not any(mlo - tol <= lo and hi <= mhi + tol for mlo, mhi in mine):
-                return False
-        return True
+        """True if every interval of `other` lies inside some merged interval
+        of self: the last to start left of it, as the merged hi ascend."""
+        mine, theirs = self.merged(), other.merged()
+        i = np.searchsorted(mine.lo - tol, theirs.lo, side="right") - 1
+        # i = -1 (none starts left of it) reads the -inf appended last
+        return bool(np.all(theirs.hi <= np.append(mine.hi, -np.inf)[i] + tol))
 
     def distance(self, x):
         """Distance from the point x, or from each point of an array x, to
         the union of intervals: from the furthest reach of the intervals
         starting at or left of x, and from the start of the next one."""
         x = np.asarray(x, dtype=float)
-        if not self.intervals:
+        if not len(self):
             return np.full(x.shape, np.inf)[()]
-        iv = np.array(self.intervals)
-        reach = np.maximum.accumulate(iv[:, 1])
-        i = np.searchsorted(iv[:, 0], x, side="right")
+        reach = np.maximum.accumulate(self.hi)
+        i = np.searchsorted(self.lo, x, side="right")
         left = np.where(i > 0, x - reach[np.maximum(i - 1, 0)], np.inf)
-        right = np.where(i < len(iv), iv[np.minimum(i, len(iv) - 1), 0] - x, np.inf)
+        right = np.where(i < len(self), self.lo[np.minimum(i, len(self) - 1)] - x, np.inf)
         return np.maximum(np.minimum(left, right), 0.0)[()]
 
     def endpoints(self) -> np.ndarray:
-        return np.array([e for iv in self.intervals for e in iv])
+        return np.stack((self.lo, self.hi), axis=1).ravel()

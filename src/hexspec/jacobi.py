@@ -200,7 +200,7 @@ def theta_spectrum(p: int, q: int, theta: float) -> BandList:
             f"band interlacing violated for p/q={p}/{q}, theta={theta}: "
             f"max overlap {np.max(overlap):.3e}"
         )
-    return BandList.from_pairs(zip(los, his))
+    return BandList(los, his)
 
 
 # tr D_q(theta) = G_q(lam) - 2 cos(2 pi q theta) (Chambers), so the per-theta
@@ -239,4 +239,4 @@ def rational_spectrum(p: int, q: int) -> BandList:
     if abs(los[0] + 3.0) > 1e-10:
         raise ConsistencyError(f"bottom of Sigma for p/q={p}/{q} is {los[0]!r}, not -3")
     los[0] = -3.0
-    return BandList(tuple(zip(los.tolist(), his.tolist())))
+    return BandList(los, his)

@@ -28,20 +28,16 @@ def q_spectrum(sigma_phi: BandList) -> QSpectrum:
     """Map the reduced spectrum through x -> sqrt(x/9 + 1/3) and reflect.
 
     Each input band [a,b] lands on [sqrt(a/9+1/3), sqrt(b/9+1/3)] and its
-    mirror image; {0} is always adjoined.
+    mirror image, with {0} between the halves unless the lowest band reaches
+    it.  Sigma's bands never overlap, so both halves come out sorted.
     """
-    pos: list[tuple[float, float]] = []
-    for a, b in sigma_phi.intervals:
-        if a < -3.0 - 1e-12:
-            raise DomainError(f"band [{a},{b}] below -3: negative radicand")
-        ra = math.sqrt(max(a / 9.0 + 1.0 / 3.0, 0.0))
-        rb = math.sqrt(max(b / 9.0 + 1.0 / 3.0, 0.0))
-        pos.append((ra, rb))
-    intervals = [(-hi, -lo) for lo, hi in reversed(pos)]
-    intervals.extend(pos)
-    if not any(lo <= 0.0 <= hi for lo, hi in intervals):
-        intervals.append((0.0, 0.0))
-    return QSpectrum(bands=BandList.from_pairs(intervals))
+    lo, hi = sigma_phi.lo, sigma_phi.hi
+    if len(lo) and lo[0] < -3.0 - 1e-12:
+        raise DomainError(f"band [{lo[0]},{hi[0]}] below -3: negative radicand")
+    r_lo, r_hi = np.sqrt(np.maximum(np.stack((lo, hi)) / 9.0 + 1.0 / 3.0, 0.0))
+    zero = [0.0] if r_lo.size == 0 or r_lo[0] > 0.0 else []  # r_lo ascends from >= 0
+    return QSpectrum(bands=BandList(np.concatenate((-r_hi[::-1], zero, r_lo)),
+                                    np.concatenate((-r_lo[::-1], zero, r_hi))))
 
 
 def q_norm_bound(phi: float) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import hill, jacobi
 from .dynamics import irrational_cover, holder_probe
-from .flux import Flux, GOLDEN_MEAN, golden_flux
+from .flux import Flux, GOLDEN_MEAN, golden_flux, reduced_fractions
 from .hill import (DEFAULT_STEPS, discriminant_batch, dirichlet_eigenvalues,
                    hill_bands, integrate_monodromy)
 from .loops import double_hexagon_loop, hexagon_loop, rank_TPhi
@@ -219,15 +219,11 @@ def _check_measure_decay():
 
 
 def _check_q_symmetry():
-    for q in range(1, 11):
-        for p in range(q):
-            if math.gcd(p, q) != 1:
-                continue
-            bands = q_spectrum(jacobi.rational_spectrum(p, q)).bands
-            iv = np.array(bands.merged().intervals)
-            neg = np.array(sorted([(-b, -a) for a, b in iv]))
-            if np.max(np.abs(iv - neg)) > 1e-12 or not bands.contains(0.0):
-                return False, f"symmetry/zero fails at {p}/{q}"
+    for p, q in reduced_fractions(10):
+        bands = q_spectrum(jacobi.rational_spectrum(p, q)).bands
+        m = bands.merged()
+        if np.max(np.abs(m.lo + m.hi[::-1])) > 1e-12 or not bands.contains(0.0):
+            return False, f"symmetry/zero fails at {p}/{q}"
     return True, "negation symmetry and 0 membership for q <= 10"
 
 

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hexspec.intervals import BandList
+from hexspec.intervals import MERGE_TOL, BandList
 
 pairs = st.lists(
     st.tuples(st.floats(-10, 10), st.floats(0, 3)).map(lambda t: (t[0], t[0] + t[1])),
@@ -38,7 +38,7 @@ def test_distance_of_an_array_is_the_distance_to_the_nearest_interval(ps, xs):
     # intervals may overlap here, so the reach of an earlier one can matter
     b = BandList.from_pairs(ps)
     want = [min((0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
-                 for lo, hi in b), default=math.inf) for x in xs]
+                 for lo, hi in b.intervals), default=math.inf) for x in xs]
     assert b.distance(np.array(xs)).tolist() == want
     assert [b.distance(x) for x in xs] == want
 
@@ -56,3 +56,102 @@ def test_sorting_and_merging():
     assert b.merged().intervals == ((0.0, 2.0), (3.0, 4.0))
     assert b.measure == pytest.approx(3.0)
     assert BandList.from_pairs([]).measure == 0.0
+
+
+# Per-interval loop versions of the operations, the oracles of the array
+# code; they read the sorted (lo, hi) pairs of `.intervals`.
+
+def merged_loop(ivs, tol=MERGE_TOL):
+    out = [list(iv) for iv in ivs[:1]]
+    for lo, hi in ivs[1:]:
+        if lo <= out[-1][1] + tol:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in out)
+
+
+def measure_loop(ivs):
+    total = 0.0
+    for lo, hi in merged_loop(ivs):
+        total += hi - lo
+    return total
+
+
+def contains_loop(ivs, x, tol):
+    return any(lo - tol <= x <= hi + tol for lo, hi in ivs)
+
+
+def covers_loop(mine, theirs, tol):
+    mine = merged_loop(mine)
+    return all(any(mlo - tol <= lo and hi <= mhi + tol for mlo, mhi in mine)
+               for lo, hi in merged_loop(theirs))
+
+
+TOLS = (0.0, MERGE_TOL, 1e-3)
+# offsets from an existing end: the same end (touching, nested), gaps exactly
+# at MERGE_TOL (which is also the default covers tolerance) and just past it,
+# and overlaps
+OFFSETS = (0.0, MERGE_TOL, -MERGE_TOL, 2 * MERGE_TOL, 1e-3, -0.5)
+
+
+@st.composite
+def band_sets(draw, near=(), max_size=8):
+    """Up to max_size intervals, each starting at a fresh point or at an end
+    of an earlier interval (or of `near`) plus one of OFFSETS; a length of 0
+    gives point intervals."""
+    pairs = []
+    for _ in range(draw(st.integers(0, max_size))):
+        ends = [e for iv in [*near, *pairs] for e in iv]
+        if ends and draw(st.booleans()):
+            lo = draw(st.sampled_from(ends)) + draw(st.sampled_from(OFFSETS))
+        else:
+            lo = draw(st.floats(-10, 10))
+        pairs.append((lo, lo + draw(st.just(0.0) | st.floats(0, 3))))
+    return BandList.from_pairs(pairs)
+
+
+@st.composite
+def set_pairs(draw):
+    mine = draw(band_sets())
+    return mine, draw(band_sets(near=mine.intervals, max_size=3))
+
+
+@settings(max_examples=300)
+@given(band_sets(), st.sampled_from(TOLS))
+def test_merged_and_measure_match_the_loops(b, tol):
+    assert b.merged(tol).intervals == merged_loop(b.intervals, tol)
+    assert b.measure == measure_loop(b.intervals)
+
+
+@settings(max_examples=300)
+@given(set_pairs(), st.sampled_from(OFFSETS), st.sampled_from(TOLS))
+def test_contains_matches_the_loop(pair, offset, tol):
+    b, probe = pair
+    for x in [e + offset for e in probe.endpoints()] + [0.0]:
+        assert b.contains(x, tol) == contains_loop(b.intervals, x, tol)
+
+
+@settings(max_examples=300)
+@given(set_pairs(), st.sampled_from(TOLS))
+@example((BandList(), BandList()), MERGE_TOL)
+@example((BandList(), BandList([1.0], [2.0])), MERGE_TOL)
+@example((BandList([1.0], [2.0]), BandList()), MERGE_TOL)
+@example((BandList([1.0], [2.0]), BandList([1.0 - MERGE_TOL], [2.0 + MERGE_TOL])),
+         MERGE_TOL)
+@example((BandList([1.0], [2.0]), BandList([2.0 + 2 * MERGE_TOL], [2.0 + 2 * MERGE_TOL])),
+         MERGE_TOL)
+def test_covers_matches_the_loop(pair, tol):
+    mine, theirs = pair
+    assert mine.covers(theirs, tol) == covers_loop(mine.intervals, theirs.intervals, tol)
+    assert theirs.covers(mine, tol) == covers_loop(theirs.intervals, mine.intervals, tol)
+
+
+def test_ends_are_read_only_arrays_of_one_length():
+    b = BandList([0.0, 2.0], [1.0, 3.0])
+    assert b.lo.dtype == b.hi.dtype == np.float64
+    with pytest.raises(ValueError):
+        b.lo[0] = 5.0
+    with pytest.raises(ValueError):
+        BandList(((0.0, 1.0), (2.0, 3.0)))  # pairs belong in from_pairs
+    assert b.endpoints().tolist() == [0.0, 1.0, 2.0, 3.0]

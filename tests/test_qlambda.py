@@ -32,8 +32,30 @@ def test_q_spectrum_degenerate_point():
 
 
 def test_q_spectrum_rejects_bands_below_minus_three():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^band \[-4.0,0.0\] below -3: negative radicand$"):
         q_spectrum(BandList.from_pairs([(-4.0, 0.0)]))
+
+
+def q_spectrum_loop(sigma):
+    """sigma(Q) band by band, sorted as from_pairs sorts: the oracle of
+    q_spectrum's array code, as (lo, hi) pairs."""
+    pos = [tuple(math.sqrt(max(e / 9.0 + 1.0 / 3.0, 0.0)) for e in iv)
+           for iv in sigma.intervals]
+    intervals = [(-hi, -lo) for lo, hi in reversed(pos)] + pos
+    if not any(lo <= 0.0 <= hi for lo, hi in intervals):
+        intervals.append((0.0, 0.0))
+    return tuple((lo, max(lo, hi)) for lo, hi in sorted(intervals))
+
+
+def test_q_spectrum_matches_the_loop_bit_for_bit():
+    sigmas = [rational_spectrum(p, q) for p, q in reduced_fractions(30)] + [
+        BandList.from_pairs([(-3.0, -3.0)]),
+        BandList.from_pairs([(-2.5, -1.0), (0.5, 2.0)]),  # {0} goes between the halves
+        BandList(),
+    ]
+    for sigma in sigmas:
+        # repr tells -0.0 from 0.0 and shows every bit of a float
+        assert repr(q_spectrum(sigma).bands.intervals) == repr(q_spectrum_loop(sigma)), sigma
 
 
 def test_q_spectrum_symmetry_and_zero():

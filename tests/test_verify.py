@@ -3,6 +3,7 @@ import pytest
 
 from hexspec import hill, jacobi, verify
 from hexspec.intervals import BandList
+from hexspec.qlambda import QSpectrum
 
 
 def test_trace_identity_check_passes():
@@ -50,7 +51,26 @@ def test_half_interval_check_fails_on_perturbed_half_run(monkeypatch, perturb):
 
 def test_banded_vs_dense_check_fails_on_moved_edges(monkeypatch):
     exact = jacobi.rational_spectrum
-    monkeypatch.setattr(jacobi, "rational_spectrum", lambda p, q: BandList(
-        tuple((lo + 1e-10, hi + 1e-10) for lo, hi in exact(p, q))))
+
+    def moved(p, q):
+        s = exact(p, q)
+        return BandList(s.lo + 1e-10, s.hi + 1e-10)
+
+    monkeypatch.setattr(jacobi, "rational_spectrum", moved)
     ok, detail = verify._check_banded_vs_dense()
-    assert not ok, detail
+    assert not ok and "Sigma edge 1.00e-10" in detail, detail
+
+
+def test_q_symmetry_check_fails_on_a_moved_positive_half(monkeypatch):
+    # Sigma reaches -3, so the 2q Q-bands split into q negative and q
+    # positive ones; moving the positive ones keeps 0 in the set
+    exact = verify.q_spectrum
+
+    def moved(sigma):
+        b = exact(sigma).bands
+        shift = np.where(np.arange(len(b)) >= len(b) // 2, 1e-10, 0.0)
+        return QSpectrum(BandList(b.lo + shift, b.hi + shift))
+
+    monkeypatch.setattr(verify, "q_spectrum", moved)
+    ok, detail = verify._check_q_symmetry()
+    assert not ok and detail == "symmetry/zero fails at 0/1", detail
