@@ -11,11 +11,9 @@ Example:
 """
 
 import argparse
-import math
 import sys
 
-import numpy as np
-
+from hexspec.dynamics import holder_radius, holder_ratio
 from hexspec.flux import Flux, parse_flux
 from hexspec.jacobi import rational_spectrum
 
@@ -30,21 +28,20 @@ def main() -> int:
 
     flux = parse_flux(args.alpha)
     conv = flux.convergents[: args.levels + 1]
-    # each Sigma_{p_n/q_n} is solved once; the ratios are holder_probe's and
-    # the covers irrational_cover's, computed from these
+    # each Sigma_{p_n/q_n} is solved once; holder_ratio and holder_radius are
+    # the formulas of holder_probe and irrational_cover, applied to these
     sigmas = [rational_spectrum(p, q) for p, q in conv]
 
     c2 = args.c2
     if c2 is None:
         ratios = [
-            float(np.max(s2.distance(s1.endpoints()), initial=0.0))
-            / math.sqrt(abs(Flux.rational(*a).phi - Flux.rational(*b).phi))
+            holder_ratio(s1, s2, Flux.rational(*a).phi, Flux.rational(*b).phi)[1]
             for a, b, s1, s2 in zip(conv[2:], conv[3:], sigmas[2:], sigmas[3:])
         ]
         c2 = 1.5 * max(ratios)
         print(f"# fitted C2 = {c2:.3f} from {len(ratios)} consecutive pairs")
 
-    covers = [s.inflated(c2 * math.sqrt(abs(flux.alpha - p / q)))
+    covers = [s.inflated(holder_radius(c2, flux.alpha, p / q))
               for (p, q), s in zip(conv, sigmas)]
     print(f"{'n':>3} {'p/q':>11} {'|S_n|':>9} {'|S_n|*q':>9} {'q|Sigma|':>9} "
           f"{'bands':>6}  nested")
@@ -52,7 +49,7 @@ def main() -> int:
         nested = "-"
         if n + 1 < len(conv):
             p1, q1 = conv[n + 1]
-            radius = c2 * math.sqrt(abs(p / q - p1 / q1))
+            radius = holder_radius(c2, p / q, p1 / q1)
             nested = "yes" if cover.inflated(radius).covers(covers[n + 1]) else "NO"
         m = cover.measure
         print(f"{n:>3} {p:>5}/{q:<5} {m:9.4f} {m * q:9.3f} "

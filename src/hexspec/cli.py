@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 import numpy as np
@@ -24,21 +25,23 @@ from .hill import dirichlet_eigenvalues
 from .loops import double_hexagon_state, verify_vertex_conditions
 from .potentials import parse_potential
 
+_CSV_CHUNK = 65536  # butterfly rows formatted per write
+
 
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _emit(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        _write_text(path, text)
+        _write_text(path, [text])
 
 
 def _cmd_bands(args) -> int:
@@ -70,18 +73,18 @@ def _cmd_bands(args) -> int:
     return 0
 
 
-def _butterfly_csv(ds: ButterflyDataset) -> str:
-    # %.15g prints the same digits as _fmt; one format for all rows
-    body = "%d,%d,%d,%.15g,%.15g\n" * len(ds.rows) % tuple(chain.from_iterable(ds.rows))
-    return "p,q,hill_band,lo,hi\n" + body
+def _butterfly_csv(ds: ButterflyDataset) -> Iterator[str]:
+    yield "p,q,hill_band,lo,hi\n"
+    for i in range(0, len(ds.rows), _CSV_CHUNK):
+        chunk = ds.rows[i:i + _CSV_CHUNK].tolist()
+        # %.15g prints the same digits as _fmt; one format for all rows
+        yield "%d,%d,%d,%.15g,%.15g\n" * len(chunk) % tuple(chain.from_iterable(chunk))
 
 
 def _butterfly_svg(ds: ButterflyDataset) -> str:
     width, height, ml, mb = 900, 640, 60, 40
-    ys = [v for r in ds.rows for v in (r[3], r[4])]
-    y0, y1 = min(ys), max(ys)
-    pad = 0.02 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
+    pad = 0.02 * (ds.rows.hi.max() - ds.rows.lo.min())
+    y0, y1 = ds.rows.lo.min() - pad, ds.rows.hi.max() + pad
 
     def X(a):  # flux
         return ml + a * (width - ml - 20)
@@ -97,27 +100,22 @@ def _butterfly_svg(ds: ButterflyDataset) -> str:
         f'<text x="16" y="{height / 2:.0f}" font-size="14" text-anchor="middle" '
         f'transform="rotate(-90 16 {height / 2:.0f})">energy</text>',
     ]
-    for p, q, _k, lo, hi in ds.rows:
-        a = p / q
-        parts.append(
-            f'<line x1="{X(a):.2f}" y1="{Y(lo):.2f}" x2="{X(a):.2f}" '
-            f'y2="{Y(hi):.2f}" stroke="black" stroke-width="0.6"/>'
-        )
+    for x, lo, hi in zip(X(ds.rows.p / ds.rows.q), Y(ds.rows.lo), Y(ds.rows.hi)):
+        parts.append(f'<line x1="{x:.2f}" y1="{lo:.2f}" x2="{x:.2f}" y2="{hi:.2f}" '
+                     'stroke="black" stroke-width="0.6"/>')
     for d in ds.dirichlet_lines:
         if y0 <= d <= y1:
-            parts.append(
-                f'<line x1="{X(0):.2f}" y1="{Y(d):.2f}" x2="{X(1):.2f}" '
-                f'y2="{Y(d):.2f}" stroke="red" stroke-width="0.8" '
-                'stroke-dasharray="6 4"/>'
-            )
+            parts.append(f'<line x1="{X(0):.2f}" y1="{Y(d):.2f}" x2="{X(1):.2f}" y2="{Y(d):.2f}" '
+                         'stroke="red" stroke-width="0.8" stroke-dasharray="6 4"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def _cmd_butterfly(args) -> int:
-    V = parse_potential(args.potential)
-    ds = butterfly(V, args.qmax, args.hill_bands)
     out = args.output or "butterfly.csv"
+    if out == "-":
+        raise DomainError("butterfly --output must be a file path: the CSV gets a .json sidecar")
+    ds = butterfly(parse_potential(args.potential), args.qmax, args.hill_bands)
     _write_text(out, _butterfly_csv(ds))
     sidecar = {
         "potential": ds.potential,
@@ -127,9 +125,9 @@ def _cmd_butterfly(args) -> int:
         "inverter_model_error": list(ds.inverter_model_error),
         "inverter_residual": list(ds.inverter_residual),
     }
-    _write_text(out + ".json", json.dumps(sidecar, indent=2) + "\n")
+    _write_text(out + ".json", [json.dumps(sidecar, indent=2) + "\n"])
     if args.svg:
-        _write_text(args.svg, _butterfly_svg(ds))
+        _write_text(args.svg, [_butterfly_svg(ds)])
     return 0
 
 

@@ -118,6 +118,19 @@ def acceleration(
     return (l1 - l0) / (2.0 * math.pi * step)
 
 
+def holder_radius(holder_constant: float, x: float, y: float) -> float:
+    """Hölder inflation radius C2 |x - y|^(1/2) between fluxes x and y."""
+    return holder_constant * math.sqrt(abs(x - y))
+
+
+def holder_ratio(s1: BandList, s2: BandList, phi1: float, phi2: float) -> tuple[float, float]:
+    """One-sided Hausdorff distance sup over the edges of s1 of the distance to
+    s2, and its ratio to |phi1 - phi2|^(1/2) (0 at equal fluxes)."""
+    sup = float(np.max(s2.distance(s1.endpoints()), initial=0.0))
+    dphi = abs(phi1 - phi2)
+    return sup, sup / math.sqrt(dphi) if dphi > 0 else 0.0
+
+
 def irrational_cover(alpha: float, n: int, holder_constant: float) -> CoverEstimate:
     """Cover of the spectrum at irrational flux quantum alpha built from its
     n-th convergent: rational bands inflated by C2 |alpha - p_n/q_n|^(1/2)."""
@@ -129,7 +142,7 @@ def irrational_cover(alpha: float, n: int, holder_constant: float) -> CoverEstim
         raise DomainError(f"alpha={alpha} has no convergent of index {n}")
     p_n, q_n = conv[n]
     diff = abs(alpha - p_n / q_n)
-    radius = holder_constant * math.sqrt(diff)
+    radius = holder_radius(holder_constant, alpha, p_n / q_n)
     cover = rational_spectrum(p_n, q_n).inflated(radius)
     bound = 16.0 * math.pi / (3.0 * q_n) + 2.0 * holder_constant * q_n * math.sqrt(diff)
     return CoverEstimate(n=n, p_n=p_n, q_n=q_n, radius=radius,
@@ -141,11 +154,8 @@ def holder_probe(flux1: Flux, flux2: Flux) -> dict:
     spectra, reported together with its ratio to |Phi1 - Phi2|^(1/2)."""
     if not (flux1.is_rational and flux2.is_rational):
         raise DomainError("holder_probe needs two rational fluxes")
-    s1 = rational_spectrum(flux1.p, flux1.q)
-    s2 = rational_spectrum(flux2.p, flux2.q)
-    sup = float(np.max(s2.distance(s1.endpoints()), initial=0.0))
-    dphi = abs(flux1.phi - flux2.phi)
-    ratio = sup / math.sqrt(dphi) if dphi > 0 else 0.0
+    sup, ratio = holder_ratio(rational_spectrum(flux1.p, flux1.q),
+                              rational_spectrum(flux2.p, flux2.q), flux1.phi, flux2.phi)
     return {
         "flux1": str(flux1),
         "flux2": str(flux2),

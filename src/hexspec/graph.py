@@ -37,13 +37,13 @@ class GraphSpectrum:
     dirac_point: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ButterflyDataset:
-    """Rows (p, q, hill_band_index, lo, hi) plus flux-independent Dirichlet
-    lines, for all reduced p/q up to a denominator cap, and the accuracy of
-    each Hill band's inverter."""
+    """Rows as one read-only record array with the fields p, q, hill_band, lo,
+    hi (lo <= hi), plus flux-independent Dirichlet lines, for all reduced p/q
+    up to a denominator cap, and the accuracy of each Hill band's inverter."""
 
-    rows: tuple[tuple[int, int, int, float, float], ...]
+    rows: np.recarray
     dirichlet_lines: tuple[float, ...]
     potential: str
     q_max: int
@@ -115,7 +115,7 @@ def butterfly(
     V: PotentialSpec, q_max: int, n_bands: int, threads: int = 1
 ) -> ButterflyDataset:
     """Band dataset over all reduced p/q with q <= q_max and the first
-    n_bands Hill bands.
+    n_bands Hill bands: the pull-back's columns sorted by q, p, band, lo.
 
     All discriminant inversions per Hill band are batched through one call
     of the band's inverter, a Chebyshev model of Delta built from 32
@@ -136,10 +136,12 @@ def butterfly(
         cols.append((np.repeat(ps, counts), np.repeat(qs, counts),
                      np.full(len(lams), k), lams[:, 0], lams[:, 1]))
         residuals.append(residual)
-    p, q, k, lo, hi = (np.concatenate(c) for c in zip(*cols))
-    order = np.lexsort((lo, k, p, q))  # stable: ties keep band, flux, Q-band order
+    rows = np.rec.fromarrays([np.concatenate(c) for c in zip(*cols)], names="p,q,hill_band,lo,hi")
+    # stable: ties keep band, flux, Q-band order
+    rows = rows[np.lexsort((rows.lo, rows.hill_band, rows.p, rows.q))]
+    rows.flags.writeable = False
     return ButterflyDataset(
-        rows=tuple(zip(*(c[order].tolist() for c in (p, q, k, lo, hi)))),
+        rows=rows,
         dirichlet_lines=dir_lines,
         potential=V.describe(),
         q_max=q_max,

@@ -1,11 +1,13 @@
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from hexspec.cli import _butterfly_csv, main
-from hexspec.graph import ButterflyDataset
+from hexspec.cli import _butterfly_csv, _butterfly_svg, main
+from hexspec.graph import ButterflyDataset, butterfly
+from hexspec.potentials import parse_potential
 
 
 def test_bands_half_flux_json(tmp_path):
@@ -79,13 +81,80 @@ def test_butterfly_artifacts_and_determinism(tmp_path):
         assert len(sidecar[key]) == 1 and 0.0 <= sidecar[key][0] < 1e-10
 
 
+def _one_string_csv(rows):
+    # oracle: the whole file as one %-formatted string
+    body = "%d,%d,%d,%.15g,%.15g\n" * len(rows) % tuple(chain.from_iterable(rows))
+    return "p,q,hill_band,lo,hi\n" + body
+
+
+def _per_row_svg(rows, dirichlet_lines):
+    # oracle: the SVG with its coordinates computed row by row
+    width, height, ml, mb = 900, 640, 60, 40
+    ys = [v for r in rows for v in (r[3], r[4])]
+    y0, y1 = min(ys), max(ys)
+    pad = 0.02 * (y1 - y0)
+    y0, y1 = y0 - pad, y1 + pad
+
+    def X(a):
+        return ml + a * (width - ml - 20)
+
+    def Y(v):
+        return (height - mb) - (v - y0) / (y1 - y0) * (height - mb - 20)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.0f}" y="{height - 8}" font-size="14" '
+        'text-anchor="middle">flux quantum p/q</text>',
+        f'<text x="16" y="{height / 2:.0f}" font-size="14" text-anchor="middle" '
+        f'transform="rotate(-90 16 {height / 2:.0f})">energy</text>',
+    ]
+    for p, q, _k, lo, hi in rows:
+        a = p / q
+        parts.append(
+            f'<line x1="{X(a):.2f}" y1="{Y(lo):.2f}" x2="{X(a):.2f}" '
+            f'y2="{Y(hi):.2f}" stroke="black" stroke-width="0.6"/>'
+        )
+    for d in dirichlet_lines:
+        if y0 <= d <= y1:
+            parts.append(
+                f'<line x1="{X(0):.2f}" y1="{Y(d):.2f}" x2="{X(1):.2f}" '
+                f'y2="{Y(d):.2f}" stroke="red" stroke-width="0.8" '
+                'stroke-dasharray="6 4"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def test_butterfly_csv_matches_row_format():
     rows = ((0, 1, 1, -0.0, 0.0), (1, 3, 2, 1e-300, 2.0 / 3.0),
             (12, 49, 5, 246.74011002812327, 1.5e16), (1, 2, 1, -1e-5, 123456789.0))
-    ds = ButterflyDataset(rows, (), "zero", 49, 5, (), ())
+    dirichlet = (math.pi ** 2, -1.0)
+    recs = np.rec.fromrecords(rows, names="p,q,hill_band,lo,hi")
+    ds = ButterflyDataset(recs, dirichlet, "zero", 49, 5, (), ())
     lines = ["p,q,hill_band,lo,hi"] + [f"{p},{q},{k},{lo:.15g},{hi:.15g}"
                                        for p, q, k, lo, hi in rows]
-    assert _butterfly_csv(ds) == "\n".join(lines) + "\n"
+    assert "".join(_butterfly_csv(ds)) == "\n".join(lines) + "\n" == _one_string_csv(rows)
+    assert _butterfly_svg(ds) == _per_row_svg(rows, dirichlet)
+
+
+def test_streamed_writers_match_one_shot_across_chunks(monkeypatch):
+    monkeypatch.setattr("hexspec.cli._CSV_CHUNK", 7)
+    ds = butterfly(parse_potential("zero"), 12, 2)
+    rows = ds.rows.tolist()
+    assert len(rows) > 100 * 7
+    csv = list(_butterfly_csv(ds))
+    assert len(csv) == 1 + -(-len(rows) // 7)  # the header, then one string per chunk
+    assert "".join(csv) == _one_string_csv(rows)
+    assert _butterfly_svg(ds) == _per_row_svg(rows, ds.dirichlet_lines)
+
+
+def test_butterfly_rejects_stdout_output(tmp_path, monkeypatch, capsys):
+    # the CSV needs a real path for its .json sidecar, so "-" is no file name
+    monkeypatch.chdir(tmp_path)
+    assert main(["butterfly", "--qmax", "2", "--hill-bands", "1", "--output", "-"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())
 
 
 def test_butterfly_svg(tmp_path):

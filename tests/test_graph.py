@@ -93,6 +93,8 @@ def test_local_symmetry_check():
 
 def test_butterfly_small():
     ds = butterfly(V0, 2, 1)
+    assert ds.rows.dtype.names == ("p", "q", "hill_band", "lo", "hi")
+    assert not ds.rows.flags.writeable
     cols = collections.defaultdict(list)
     for p, q, k, lo, hi in ds.rows:
         cols[(p, q)].append((lo, hi))
@@ -148,4 +150,4 @@ def test_hill_side_makes_one_counting_pass():
 
 
 def test_butterfly_threaded_is_deterministic():
-    assert butterfly(V0, 4, 1, threads=4).rows == butterfly(V0, 4, 1).rows
+    assert np.array_equal(butterfly(V0, 4, 1, threads=4).rows, butterfly(V0, 4, 1).rows)
