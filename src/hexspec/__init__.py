@@ -18,7 +18,6 @@ from .hill import (
 from .intervals import BandList
 from .jacobi import (
     build_Mq,
-    build_Mq_nu,
     chambers_Gq,
     rational_spectrum,
     theta_spectrum,

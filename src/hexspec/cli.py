@@ -25,23 +25,20 @@ from .hill import dirichlet_eigenvalues
 from .loops import double_hexagon_state, verify_vertex_conditions
 from .potentials import parse_potential
 
-_CSV_CHUNK = 65536  # butterfly rows formatted per write
+_CSV_CHUNK = 65536  # butterfly rows formatted per write, CSV and SVG
 
 
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _write_text(path: str, chunks: Iterable[str]) -> None:
+def _write_text(path: str | None, chunks: Iterable[str]) -> None:
+    """Write the chunks to path, or to stdout if path is None or "-"."""
+    if path is None or path == "-":
+        sys.stdout.writelines(chunks)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(chunks)
-
-
-def _emit(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        _write_text(path, [text])
 
 
 def _cmd_bands(args) -> int:
@@ -69,7 +66,7 @@ def _cmd_bands(args) -> int:
             for s in specs
         ],
     }
-    _emit(args.output, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
     return 0
 
 
@@ -81,7 +78,7 @@ def _butterfly_csv(ds: ButterflyDataset) -> Iterator[str]:
         yield "%d,%d,%d,%.15g,%.15g\n" * len(chunk) % tuple(chain.from_iterable(chunk))
 
 
-def _butterfly_svg(ds: ButterflyDataset) -> str:
+def _butterfly_svg(ds: ButterflyDataset) -> Iterator[str]:
     width, height, ml, mb = 900, 640, 60, 40
     pad = 0.02 * (ds.rows.hi.max() - ds.rows.lo.min())
     y0, y1 = ds.rows.lo.min() - pad, ds.rows.hi.max() + pad
@@ -92,23 +89,24 @@ def _butterfly_svg(ds: ButterflyDataset) -> str:
     def Y(v):  # energy, inverted axis
         return (height - mb) - (v - y0) / (y1 - y0) * (height - mb - 20)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="{height - 8}" font-size="14" '
-        'text-anchor="middle">flux quantum p/q</text>',
-        f'<text x="16" y="{height / 2:.0f}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 16 {height / 2:.0f})">energy</text>',
-    ]
-    for x, lo, hi in zip(X(ds.rows.p / ds.rows.q), Y(ds.rows.lo), Y(ds.rows.hi)):
-        parts.append(f'<line x1="{x:.2f}" y1="{lo:.2f}" x2="{x:.2f}" y2="{hi:.2f}" '
-                     'stroke="black" stroke-width="0.6"/>')
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+           f'<rect width="{width}" height="{height}" fill="white"/>\n'
+           f'<text x="{width / 2:.0f}" y="{height - 8}" font-size="14" '
+           'text-anchor="middle">flux quantum p/q</text>\n'
+           f'<text x="16" y="{height / 2:.0f}" font-size="14" text-anchor="middle" '
+           f'transform="rotate(-90 16 {height / 2:.0f})">energy</text>\n')
+    for i in range(0, len(ds.rows), _CSV_CHUNK):
+        rows = ds.rows[i:i + _CSV_CHUNK]
+        x = X(rows.p / rows.q)
+        coords = np.column_stack((x, Y(rows.lo), x, Y(rows.hi))).ravel().tolist()
+        # %.2f prints what {:.2f} prints; one format per chunk
+        yield ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" '
+               'stroke-width="0.6"/>\n') * len(rows) % tuple(coords)
     for d in ds.dirichlet_lines:
         if y0 <= d <= y1:
-            parts.append(f'<line x1="{X(0):.2f}" y1="{Y(d):.2f}" x2="{X(1):.2f}" y2="{Y(d):.2f}" '
-                         'stroke="red" stroke-width="0.8" stroke-dasharray="6 4"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            yield (f'<line x1="{X(0):.2f}" y1="{Y(d):.2f}" x2="{X(1):.2f}" y2="{Y(d):.2f}" '
+                   'stroke="red" stroke-width="0.8" stroke-dasharray="6 4"/>\n')
+    yield "</svg>\n"
 
 
 def _cmd_butterfly(args) -> int:
@@ -127,7 +125,7 @@ def _cmd_butterfly(args) -> int:
     }
     _write_text(out + ".json", [json.dumps(sidecar, indent=2) + "\n"])
     if args.svg:
-        _write_text(args.svg, [_butterfly_svg(ds)])
+        _write_text(args.svg, _butterfly_svg(ds))
     return 0
 
 
@@ -153,7 +151,7 @@ def _cmd_lyapunov(args) -> int:
     for lam in _parse_lambdas(args.lambdas):
         est = lyapunov(lam, cfg)
         lines.append(f"{_fmt(lam)},{_fmt(est.value)},{int(est.converged)}")
-    _emit(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -170,7 +168,7 @@ def _cmd_cover(args) -> int:
         "measure": est.intervals.measure,
         "bound": est.bound,
     }
-    _emit(args.output, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
     return 0
 
 
@@ -194,7 +192,7 @@ def _cmd_loopstate(args) -> int:
         "slicing_beta": state.slicing_beta,
         "max_violation": report["max_violation"],
     }
-    _emit(args.output, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.output, [json.dumps(payload, indent=2) + "\n"])
     return 0
 
 

@@ -12,12 +12,11 @@ import numpy as np
 from .errors import DomainError
 from .flux import Flux, reduced_fractions
 from .hill import (
-    DEFAULT_STEPS,
     BandInverter,
     HillBand,
     bands_window,
-    discriminant_batch,
     dirichlet_eigenvalues,
+    discriminant,
     hill_bands_first_n,
 )
 from .intervals import BandList
@@ -155,8 +154,7 @@ def local_symmetry_check(V: PotentialSpec, flux: Flux, band_index: int) -> dict:
     """Verify that the Delta-image of the computed graph bands in one Hill
     band is symmetric under negation; returns a report with the deviation."""
     spec = graph_spectrum(V, flux, band_index)[band_index - 1]
-    # the step-doubled discriminant, 2 * DEFAULT_STEPS, at all edges at once
-    ws = np.sort(discriminant_batch(V, spec.continuous_bands.endpoints(), 2 * DEFAULT_STEPS))
+    ws = np.sort(discriminant(V, spec.continuous_bands.endpoints()))
     deviation = float(np.max(np.abs(ws + ws[::-1]))) if ws.size else 0.0
     return {
         "hill_band": band_index,

@@ -188,9 +188,11 @@ def integrate_monodromy(
     return MonodromySolution(*fields)
 
 
-def discriminant(V: PotentialSpec, lam: float, steps: int = DEFAULT_STEPS) -> float:
-    """Delta at one energy, integrated at 2*steps (integrate_monodromy's delta)."""
-    return float(discriminant_batch(V, lam, 2 * steps))
+def discriminant(V: PotentialSpec, lam, steps: int = DEFAULT_STEPS):
+    """The checking Delta, integrated at 2*steps (integrate_monodromy's
+    delta): a float at one energy, an array at an array of them."""
+    delta = discriminant_batch(V, lam, 2 * steps)
+    return float(delta) if delta.ndim == 0 else delta
 
 
 def discriminant_batch(

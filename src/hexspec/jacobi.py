@@ -4,9 +4,7 @@ and the per-theta / full rational-flux band structure."""
 
 from __future__ import annotations
 
-import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -148,51 +146,48 @@ def _bloch_blocks(p: int, q: int, thetas, phases) -> np.ndarray:
     return M
 
 
-@lru_cache(maxsize=128)
-def _band_slots(q: int):
-    """Where the entries that _bloch_blocks writes land in LAPACK lower band
-    storage of the block in ring order 0, q-1, 1, q-2, ..., which puts every
-    ring edge, the corner included, at most 2 apart.  The entries are taken
-    in _bloch_blocks' order (diagonal, off-diagonal below and above, corner
-    above and below); returns the indices of those in the lower triangle and
-    their flat slots in the (min(q, 3), q) band array.  At q = 1 both
-    corners land on the diagonal and at q = 2 one on the off-diagonal, so
-    they are summed there as _bloch_blocks sums them."""
-    ring = np.empty(q, dtype=np.intp)
-    ring[0::2] = np.arange((q + 1) // 2)
-    ring[1::2] = q - 1 - np.arange(q // 2)
-    pos = np.argsort(ring)
-    j = np.arange(q)
-    rows = pos[np.concatenate((j, j[1:], j[:-1], [0, q - 1]))]
-    cols = pos[np.concatenate((j, j[:-1], j[1:], [q - 1, 0]))]
-    keep = np.flatnonzero(rows >= cols)
-    return keep, ((rows - cols) * q + cols)[keep]
-
-
 def _banded_blocks(p: int, q: int, thetas, phases) -> np.ndarray:
-    """The real blocks of _bloch_blocks (real phases) in lower band storage
-    of the ring order, shape (len(thetas), min(q, 3), q); no q x q array is
-    formed."""
+    """The real blocks of _bloch_blocks (real phases) in LAPACK lower band
+    storage of the ring order 0, q-1, 1, q-2, ..., shape (len(thetas),
+    min(q, 3), q); no q x q array is formed.  Ring neighbours sit two apart
+    (row 2), except the corner at column 0 and the middle edge at column
+    q-2 (row 1).  At q = 2 the corner is added onto the middle edge and at
+    q = 1 both corners onto the diagonal, as _bloch_blocks adds them."""
     diag, off, corner = _bloch_coefficients(p, q, thetas, phases)
-    keep, slots = _band_slots(q)
-    entries = np.concatenate((diag, off, off, corner[:, None], corner[:, None]), axis=1)
-    size = min(q, 3) * q
-    flat = (slots + size * np.arange(corner.size)[:, None]).ravel()
-    ab = np.bincount(flat, entries[:, keep].ravel(), minlength=corner.size * size)
-    return ab.reshape(corner.size, min(q, 3), q)
+    j = np.arange(q)
+    ring = np.where(j % 2, q - 1 - j // 2, j // 2)
+    ab = np.zeros((corner.size, min(q, 3), q))
+    ab[:, 0] = diag[:, ring]
+    if q == 1:
+        ab[:, 0, 0] = diag[:, 0] + corner + corner
+        return ab
+    ab[:, 1, q - 2] = off[:, min(ring[-2:])]
+    ab[:, 1, 0] += corner
+    if q > 2:
+        ab[:, 2, :q - 2] = off[:, np.minimum(ring[:-2], ring[2:])]
+    return ab
 
 
-def build_Mq_nu(theta: float, nu: float, p: int, q: int) -> np.ndarray:
-    """Periodic q x q Jacobi block with Floquet corner phase e^{2 pi i nu}, as
-    a complex array (see _bloch_blocks).  Real symmetric for nu in {0, 1/2}."""
-    return _bloch_blocks(p, q, [theta], [cmath.exp(2j * math.pi * nu)])[0]
+def _banded_spectrum(p: int, q: int, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The elementwise min and max of the ascending eigenvalues of the
+    nu = 1/2 block at thetas[0] and the nu = 0 block at thetas[1], each
+    solved by LAPACK dsbev on its band array: O(q^2) time, O(q) memory."""
+    from scipy.linalg.lapack import dsbev  # keeps scipy out of `import hexspec`
+
+    eigs = []
+    for ab in _banded_blocks(p, q, thetas, [-1.0, 1.0]):
+        w, _, info = dsbev(ab, compute_v=0, lower=1)
+        if info != 0:
+            raise ConsistencyError(f"dsbev failed with info={info} at p/q={p}/{q}")
+        eigs.append(w)
+    # both arrays ascend, so their elementwise min and max do too
+    return np.minimum(*eigs), np.maximum(*eigs)
 
 
 def theta_spectrum(p: int, q: int, theta: float) -> BandList:
     """Per-theta spectrum: q possibly-touching bands whose k-th endpoints are
     the k-th eigenvalues of the nu=1/2 and nu=0 periodic blocks."""
-    eigs = np.linalg.eigvalsh(_bloch_blocks(p, q, [theta, theta], [-1.0, 1.0]))
-    los, his = eigs.min(axis=0), eigs.max(axis=0)
+    los, his = _banded_spectrum(p, q, (theta, theta))
     # interlacing: consecutive bands may touch but must not overlap
     overlap = his[:-1] - los[1:]
     if q > 1 and np.max(overlap) > 1e-9 * (1.0 + np.max(np.abs(his))):
@@ -218,24 +213,14 @@ def rational_spectrum(p: int, q: int) -> BandList:
     for even q: the union over theta of the per-theta spectra, exactly q
     possibly-touching bands.  Band k runs between the k-th eigenvalues of the
     nu = 1/2 block at the first extremizing angle (G_q = min I_q) and of the
-    nu = 0 block at the second (G_q = max I_q).  Each block is a ring, so in
-    the ring order it has bandwidth 2: it is built in band storage and solved
-    by LAPACK dsbev, O(q^2) time and O(q) memory (the dense blocks of
-    _bloch_blocks remain the tests' oracle).  The bottom edge is exactly -3
-    for every p/q (Chambers); it is pinned there, as the eigensolve puts it a
-    few ulp off and the square root in q_spectrum would open a gap at 0."""
-    from scipy.linalg.lapack import dsbev  # keeps scipy out of `import hexspec`
-
+    nu = 0 block at the second (G_q = max I_q), from _banded_spectrum (the
+    dense blocks of _bloch_blocks remain the tests' oracle).  The bottom edge
+    is exactly -3 for every p/q (Chambers); it is pinned there, as the
+    eigensolve puts it a few ulp off and the square root in q_spectrum would
+    open a gap at 0."""
     if math.gcd(p, q) != 1:
         raise DomainError(f"flux {p}/{q} is not reduced")
-    eigs = []
-    for ab in _banded_blocks(p, q, _theta_stars(q), [-1.0, 1.0]):
-        w, _, info = dsbev(ab, compute_v=0, lower=1)
-        if info != 0:
-            raise ConsistencyError(f"dsbev failed with info={info} at p/q={p}/{q}")
-        eigs.append(w)
-    # both arrays ascend, so their elementwise min and max do too
-    los, his = np.minimum(*eigs), np.maximum(*eigs)
+    los, his = _banded_spectrum(p, q, _theta_stars(q))
     if abs(los[0] + 3.0) > 1e-10:
         raise ConsistencyError(f"bottom of Sigma for p/q={p}/{q} is {los[0]!r}, not -3")
     los[0] = -3.0

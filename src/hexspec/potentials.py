@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_EVEN_TOL = 1e-12
 _SYMMETRIZE_WARN = 1e-8
 
 
@@ -83,7 +82,7 @@ class PotentialSpec:
     def _check_even(self):
         t = np.linspace(0.0, 1.0, 257)
         dev = np.max(np.abs(self(t) - self(1.0 - t)))
-        if dev > max(_EVEN_TOL, _SYMMETRIZE_WARN):
+        if dev > _SYMMETRIZE_WARN:
             raise DomainError(f"potential is not even about 1/2 (deviation {dev:.3g})")
 
     @property

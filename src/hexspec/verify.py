@@ -12,8 +12,8 @@ import numpy as np
 from . import hill, jacobi
 from .dynamics import irrational_cover, holder_probe
 from .flux import Flux, GOLDEN_MEAN, golden_flux, reduced_fractions
-from .hill import (DEFAULT_STEPS, discriminant_batch, dirichlet_eigenvalues,
-                   hill_bands, integrate_monodromy)
+from .hill import (DEFAULT_STEPS, dirichlet_eigenvalues, discriminant, hill_bands,
+                   integrate_monodromy)
 from .loops import double_hexagon_loop, hexagon_loop, rank_TPhi
 from .potentials import parse_potential
 from .qlambda import q_norm_bound, q_spectrum
@@ -121,7 +121,7 @@ def _check_band_dirichlet():
         dirs = dirichlet_eigenvalues(V, lmax)
         want = [(-1.0) ** ((j + 1) // 2) for j in range(len(edges))]
         want += [(-1.0) ** k for k in range(1, len(dirs) + 1)]
-        delta = discriminant_batch(V, edges + dirs, 2 * DEFAULT_STEPS)
+        delta = discriminant(V, edges + dirs)
         worst = max(worst, float(np.max(np.abs(delta - want))))
     return worst <= 1e-8, f"max |Delta - (-1)^k| at band edges and Dirichlet points {worst:.2e}"
 

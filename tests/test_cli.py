@@ -135,7 +135,7 @@ def test_butterfly_csv_matches_row_format():
     lines = ["p,q,hill_band,lo,hi"] + [f"{p},{q},{k},{lo:.15g},{hi:.15g}"
                                        for p, q, k, lo, hi in rows]
     assert "".join(_butterfly_csv(ds)) == "\n".join(lines) + "\n" == _one_string_csv(rows)
-    assert _butterfly_svg(ds) == _per_row_svg(rows, dirichlet)
+    assert "".join(_butterfly_svg(ds)) == _per_row_svg(rows, dirichlet)
 
 
 def test_streamed_writers_match_one_shot_across_chunks(monkeypatch):
@@ -146,7 +146,9 @@ def test_streamed_writers_match_one_shot_across_chunks(monkeypatch):
     csv = list(_butterfly_csv(ds))
     assert len(csv) == 1 + -(-len(rows) // 7)  # the header, then one string per chunk
     assert "".join(csv) == _one_string_csv(rows)
-    assert _butterfly_svg(ds) == _per_row_svg(rows, ds.dirichlet_lines)
+    svg = list(_butterfly_svg(ds))
+    assert len(svg) > -(-len(rows) // 7)  # the header, one string per chunk, the rest
+    assert "".join(svg) == _per_row_svg(rows, ds.dirichlet_lines)
 
 
 def test_butterfly_rejects_stdout_output(tmp_path, monkeypatch, capsys):
@@ -164,6 +166,16 @@ def test_butterfly_svg(tmp_path):
                  "--output", str(out), "--svg", str(svg)]) == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "</svg>" in text
+
+
+def test_butterfly_svg_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    # "-" sends the SVG to stdout, as --output - does for the other commands
+    monkeypatch.chdir(tmp_path)
+    assert main(["butterfly", "--qmax", "2", "--hill-bands", "1",
+                 "--output", "bf.csv", "--svg", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("<svg") and out.endswith("</svg>\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bf.csv", "bf.csv.json"]
 
 
 def test_lyapunov_csv(tmp_path):

@@ -106,9 +106,13 @@ def test_monodromy_fields_come_from_one_run():
 
 def test_discriminant_is_one_integration(rk4_calls):
     assert discriminant(VM, 10.0) == integrate_monodromy(VM, 10.0).delta
+    assert type(discriminant(VM, 10.0)) is float
+    lams = np.array([1.0, 10.0])
+    assert np.array_equal(discriminant(VM, lams), integrate_monodromy(VM, lams).delta)
     rk4_calls.clear()
     discriminant(VM, 10.0)
-    assert rk4_calls == [1]
+    discriminant(VM, lams)
+    assert rk4_calls == [1, 2]
 
 
 @pytest.mark.parametrize("steps", [0, 1, 4095])

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from hexspec.jacobi import (
     _theta_stars,
     _trace_Dq,
     build_Mq,
-    build_Mq_nu,
     chambers_Gq,
     coeff_c,
     coeff_v,
@@ -34,6 +34,11 @@ def eigvalsh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return calls
+
+
+def _bloch_block(theta, nu, p, q):
+    """The periodic block with Floquet corner phase e^{2 pi i nu}, complex."""
+    return jacobi._bloch_blocks(p, q, [theta], [cmath.exp(2j * math.pi * nu)])[0]
 
 
 def _per_entry_block(theta, nu, p, q):
@@ -134,9 +139,9 @@ def test_det_equals_trace():
         assert abs(det - tr) <= 1e-8 * (1.0 + abs(tr))
 
 
-def test_build_Mq_nu_corners():
-    M0 = build_Mq_nu(0.2, 0.0, 1, 3)
-    Mh = build_Mq_nu(0.2, 0.5, 1, 3)
+def test_bloch_block_corners():
+    M0 = _bloch_block(0.2, 0.0, 1, 3)
+    Mh = _bloch_block(0.2, 0.5, 1, 3)
     assert M0[0, 2] == pytest.approx(abs(coeff_c(0.2)))
     assert Mh[0, 2] == pytest.approx(-abs(coeff_c(0.2)))
 
@@ -147,7 +152,7 @@ def test_Mq_nu_eigenvalues_hit_chambers_level_sets():
     env = 4.0 * abs(math.sin(math.pi * q * (theta + 0.5)))
     osc = 2.0 * math.cos(2 * math.pi * q * theta)
     for nu, level in ((0.0, env + osc), (0.5, -env + osc)):
-        for lam in np.linalg.eigvalsh(build_Mq_nu(theta, nu, p, q)):
+        for lam in np.linalg.eigvalsh(_bloch_block(theta, nu, p, q)):
             assert chambers_Gq(lam, p, q) == pytest.approx(level, abs=1e-10)
 
 
@@ -165,7 +170,7 @@ def test_theta_spectrum_against_nu_sweep():
     p, q, theta = 1, 3, 0.2
     bands = theta_spectrum(p, q, theta)
     nus = np.linspace(0.0, 1.0, 801)
-    eigs = np.array([np.linalg.eigvalsh(build_Mq_nu(theta, nu, p, q)) for nu in nus])
+    eigs = np.array([np.linalg.eigvalsh(_bloch_block(theta, nu, p, q)) for nu in nus])
     for k, (lo, hi) in enumerate(bands.intervals):
         assert lo == pytest.approx(eigs[:, k].min(), abs=1e-6)
         assert hi == pytest.approx(eigs[:, k].max(), abs=1e-6)
@@ -278,7 +283,7 @@ def test_stacked_blocks_match_per_entry_construction():
             got = np.array(theta_spectrum(p, q, theta).intervals)
             assert np.max(np.abs(got - np.stack((lo, hi), axis=1))) <= 1e-12
             for nu in (0.0, 0.5, 0.3):
-                M = build_Mq_nu(theta, nu, p, q)
+                M = _bloch_block(theta, nu, p, q)
                 assert M.dtype == complex
                 assert np.max(np.abs(M - _per_entry_block(theta, nu, p, q))) <= 1e-14
         # build_Mq at every lattice angle is the block at theta = 1/2, whose
@@ -295,8 +300,9 @@ def test_stacked_blocks_match_per_entry_construction():
 
 
 def test_rational_spectrum_solves_two_banded_blocks(eigvalsh_calls, monkeypatch):
-    # no dense eigvalsh: each deciding block goes to LAPACK dsbev as a float64
-    # band array of the ring order, bandwidth 2
+    # neither Sigma nor a per-theta spectrum calls a dense eigvalsh: each block
+    # goes to LAPACK dsbev as a float64 band array of the ring order,
+    # bandwidth 2
     import scipy.linalg.lapack as lapack
 
     band_calls = []
@@ -308,12 +314,29 @@ def test_rational_spectrum_solves_two_banded_blocks(eigvalsh_calls, monkeypatch)
 
     monkeypatch.setattr(lapack, "dsbev", recorded)
     for p, q in ((0, 1), (1, 2), (2, 7), (13, 21), (55, 89)):
-        band_calls.clear()
-        rational_spectrum(p, q)
-        assert eigvalsh_calls == []
-        assert len(band_calls) == 2
-        for ab in band_calls:
-            assert ab.dtype == np.float64 and ab.shape == (min(q, 3), q)
+        for solve in (lambda: rational_spectrum(p, q), lambda: theta_spectrum(p, q, 0.3)):
+            band_calls.clear()
+            solve()
+            assert eigvalsh_calls == []
+            assert len(band_calls) == 2
+            for ab in band_calls:
+                assert ab.dtype == np.float64 and ab.shape == (min(q, 3), q)
+
+
+def test_banded_blocks_are_the_lower_band_of_the_dense_ring():
+    # the dense blocks permuted to the ring order 0, q-1, 1, q-2, ... and read
+    # as LAPACK lower band storage, entry for entry; q = 1 and 2 included,
+    # where the corners are added onto the diagonal and the middle edge
+    rng = np.random.default_rng(23)
+    for p, q in reduced_fractions(30):
+        ring = [k for pair in zip(range(q), range(q - 1, -1, -1)) for k in pair][:q]
+        thetas = list(_theta_stars(q)) + list(rng.uniform(0.0, 1.0, 2))
+        phases = [-1.0, 1.0, -1.0, 1.0]
+        dense = jacobi._bloch_blocks(p, q, thetas, phases)[:, ring][:, :, ring]
+        want = np.zeros((len(thetas), min(q, 3), q))
+        for d in range(min(q, 3)):
+            want[:, d, :q - d] = np.diagonal(dense, -d, axis1=1, axis2=2)
+        assert np.array_equal(jacobi._banded_blocks(p, q, thetas, phases), want), (p, q)
 
 
 def test_banded_sigma_matches_dense_hull():
