@@ -10,16 +10,16 @@ Example:
 import argparse
 import sys
 
-import numpy as np
-
+from hexspec.cli import _parse_lambdas
 from hexspec.dynamics import CocycleConfig, irrational_cover, lyapunov
+from hexspec.errors import DomainError
 from hexspec.flux import parse_flux
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--flux", default="golden")
-    ap.add_argument("--lambdas", default="-6:10:33", help="a:b:n grid")
+    ap.add_argument("--lambdas", default="-6:10:33", help="comma list or a:b:n grid")
     ap.add_argument("--theta-samples", type=int, default=256,
                     help="midpoint quadrature nodes in x = q theta")
     ap.add_argument("--max-n", type=int, default=2 ** 14,
@@ -28,9 +28,11 @@ def main() -> int:
     ap.add_argument("--c2", type=float, default=2.0)
     args = ap.parse_args()
 
-    flux = parse_flux(args.flux)
-    a, b, n = args.lambdas.split(":")
-    lams = np.linspace(float(a), float(b), int(n))
+    try:
+        flux = parse_flux(args.flux)
+        lams = _parse_lambdas(args.lambdas)
+    except DomainError as exc:
+        ap.error(str(exc))
     cfg = CocycleConfig(flux=flux, theta_samples=args.theta_samples,
                         max_n=args.max_n)
     cover = irrational_cover(flux.alpha, args.cover_level, args.c2)
@@ -38,8 +40,8 @@ def main() -> int:
     print(f"# flux = {flux}, cover level {cover.n} (q = {cover.q_n})")
     print(f"{'lambda':>10}  {'L':>10}  {'conv':>5}  in-cover")
     for lam in lams:
-        est = lyapunov(float(lam), cfg)
-        inside = cover.intervals.contains(float(lam), tol=1e-12)
+        est = lyapunov(lam, cfg)
+        inside = cover.intervals.contains(lam, tol=1e-12)
         print(f"{lam:10.4f}  {est.value:10.6f}  {str(est.converged):>5}  "
               f"{'yes' if inside else 'no'}")
     return 0

@@ -22,7 +22,7 @@ from .hill import (
 from .intervals import BandList
 from .jacobi import rational_spectrum
 from .potentials import PotentialSpec
-from .qlambda import QSpectrum, q_spectrum
+from .qlambda import q_spectrum
 
 
 @dataclass(frozen=True)
@@ -53,23 +53,33 @@ class ButterflyDataset:
     inverter_residual: tuple[float, ...]
 
 
-def _pullback(qspectra: list[QSpectrum], inv):
-    """Pull the Q-bands of the spectra back into one Hill band: clip them to
-    [-1, 1], invert every endpoint in one call to the band's inverter.
-    Returns the (lo, hi) rows of all spectra, each spectrum's in Q-band order,
-    the number of rows per spectrum, and the inverter's model residual
-    max |Delta(lambda) - w| over the endpoints."""
-    lo = np.concatenate([qs.bands.lo for qs in qspectra])
-    hi = np.concatenate([qs.bands.hi for qs in qspectra])
-    spectrum = np.repeat(np.arange(len(qspectra)), [len(qs.bands) for qs in qspectra])
-    keep = (hi >= -1.0) & (lo <= 1.0)
-    w = np.clip(np.stack((lo, hi), axis=1)[keep], -1.0, 1.0)
-    lams = inv(w)
-    residual = float(np.max(np.abs(inv.delta(lams) - w), initial=0.0))
-    # the image of [w1, w2] is [min, max] of its ends' images, whichever way
-    # Delta runs, also where rounding swaps the images of a point band's ends
-    lams = np.sort(lams, axis=1)
-    return lams, np.bincount(spectrum[keep], minlength=len(qspectra)), residual
+def _graph(inverters, fracs: list[tuple[int, int]]):
+    """Pull Sigma_{p/q} back through Delta into every Hill band for each
+    (p, q) of fracs: each band's inverter takes every Q-band end in one call.
+    Returns the read-only rows (p, q, hill_band, lo, hi), flux by flux in the
+    order of fracs, then by band, then by (lo, hi), and per band the model
+    residual max |Delta(lambda) - w| over the ends."""
+    qbands = [q_spectrum(rational_spectrum(p, q)).bands for p, q in fracs]
+    counts = np.array([len(b) for b in qbands])
+    flux = np.repeat(np.arange(len(fracs)), counts)
+    w = np.concatenate([np.stack((b.lo, b.hi), axis=1) for b in qbands])
+    n = len(inverters)
+    rows = np.recarray(n * len(w), formats="i8,i8,i8,f8,f8", names="p,q,hill_band,lo,hi")
+    rows.p, rows.q = np.repeat(np.reshape(fracs, (-1, 2)), n * counts, axis=0).T
+    # flux f's rows are n runs of counts[f], one per band, from n * start[f]
+    run = np.arange(len(w)) + (n - 1) * (np.cumsum(counts) - counts)[flux]
+    residuals = []
+    for k, inv in enumerate(inverters):
+        lams = inv(w)
+        residuals.append(float(np.max(np.abs(inv.delta(lams) - w), initial=0.0)))
+        # the image of [w1, w2] is [min, max] of its ends' images, whichever way
+        # Delta runs, also where rounding swaps the images of a point band's ends
+        lams = np.sort(lams, axis=1)
+        dest = run + k * counts[flux]
+        rows.hill_band[dest] = k + 1
+        rows.lo[dest], rows.hi[dest] = lams[np.lexsort((lams[:, 1], lams[:, 0], flux))].T
+    rows.flags.writeable = False
+    return rows, tuple(residuals)
 
 
 @lru_cache(maxsize=8)
@@ -93,10 +103,10 @@ def graph_spectrum(
         raise DomainError("graph_spectrum needs rational flux; use dynamics "
                           "covers for irrational flux")
     bands, inverters, dir_all = _hill_side(V, n_bands)
-    qs = q_spectrum(rational_spectrum(flux.p, flux.q))
+    rows, _ = _graph(inverters, [(flux.p, flux.q)])
     out = []
-    for k, (band, inv) in enumerate(zip(bands, inverters), start=1):
-        cont = BandList.from_pairs(_pullback([qs], inv)[0])
+    for k, (band, inv, r) in enumerate(zip(bands, inverters, np.split(rows, n_bands)), start=1):
+        cont = BandList(r.lo, r.hi)
         dirs = tuple(e for e in (band.alpha, band.beta)
                      if any(abs(d - e) < 1e-6 for d in dir_all))
         dirac = float(inv(0.0)[0])
@@ -114,7 +124,7 @@ def butterfly(
     V: PotentialSpec, q_max: int, n_bands: int, threads: int = 1
 ) -> ButterflyDataset:
     """Band dataset over all reduced p/q with q <= q_max and the first
-    n_bands Hill bands: the pull-back's columns sorted by q, p, band, lo.
+    n_bands Hill bands: the pull-back's rows sorted by q, p, band, lo, hi.
 
     All discriminant inversions per Hill band are batched through one call
     of the band's inverter, a Chebyshev model of Delta built from 32
@@ -125,20 +135,7 @@ def butterfly(
     if q_max < 1:
         raise DomainError(f"q_max must be >= 1, got {q_max}")
     _, inverters, dir_lines = _hill_side(V, n_bands)
-    fracs = reduced_fractions(q_max)
-    qspectra = [q_spectrum(rational_spectrum(p, q)) for p, q in fracs]
-    ps, qs = np.array(fracs, dtype=np.int64).reshape(-1, 2).T
-
-    cols, residuals = [], []
-    for k, inv in enumerate(inverters, start=1):
-        lams, counts, residual = _pullback(qspectra, inv)
-        cols.append((np.repeat(ps, counts), np.repeat(qs, counts),
-                     np.full(len(lams), k), lams[:, 0], lams[:, 1]))
-        residuals.append(residual)
-    rows = np.rec.fromarrays([np.concatenate(c) for c in zip(*cols)], names="p,q,hill_band,lo,hi")
-    # stable: ties keep band, flux, Q-band order
-    rows = rows[np.lexsort((rows.lo, rows.hill_band, rows.p, rows.q))]
-    rows.flags.writeable = False
+    rows, residuals = _graph(inverters, reduced_fractions(q_max))
     return ButterflyDataset(
         rows=rows,
         dirichlet_lines=dir_lines,
@@ -146,7 +143,7 @@ def butterfly(
         q_max=q_max,
         n_hill_bands=n_bands,
         inverter_model_error=tuple(inv.model_error for inv in inverters),
-        inverter_residual=tuple(residuals),
+        inverter_residual=residuals,
     )
 
 

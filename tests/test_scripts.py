@@ -17,3 +17,27 @@ def test_cantor_covers_levels_9():
     assert len(rows) == 10
     assert [r[-1] for r in rows] == ["yes"] * 9 + ["-"]
     assert rows[-1][1] == "55/89" and 4.0 <= float(rows[-1][4]) <= 5.0
+
+
+def _lyapunov_scan(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "lyapunov_scan.py"), *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120)
+
+
+def test_lyapunov_scan_table():
+    proc = _lyapunov_scan("--lambdas=-4:4:5", "--max-n", "256", "--cover-level", "6")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("# flux = ") and lines[1].split()[0] == "lambda"
+    rows = [ln.split() for ln in lines[2:]]
+    assert [float(r[0]) for r in rows] == [-4.0, -2.0, 0.0, 2.0, 4.0]
+    assert all(r[-1] in ("yes", "no") for r in rows)
+
+
+def test_lyapunov_scan_bad_lambdas_is_a_usage_error():
+    for bad in ("0:1", "a:b:3", "1,x"):
+        proc = _lyapunov_scan(f"--lambdas={bad}", "--max-n", "256")
+        assert proc.returncode == 2 and "bad lambdas" in proc.stderr
+        assert "Traceback" not in proc.stderr
