@@ -21,7 +21,7 @@ from .dynamics import CocycleConfig, irrational_cover, lyapunov
 from .errors import DomainError, HexspecError
 from .flux import parse_flux
 from .graph import ButterflyDataset, butterfly, graph_spectrum
-from .hill import dirichlet_eigenvalues
+from .hill import bands_window, dirichlet_eigenvalues
 from .loops import double_hexagon_state, verify_vertex_conditions
 from .potentials import parse_potential
 
@@ -174,13 +174,11 @@ def _cmd_cover(args) -> int:
 
 def _cmd_loopstate(args) -> int:
     V = parse_potential(args.potential)
-    dirs = dirichlet_eigenvalues(V, args.lambda_max)
-    if args.lambda_index < 1 or args.lambda_index > len(dirs):
-        raise DomainError(
-            f"lambda-index {args.lambda_index} out of range (found {len(dirs)} "
-            f"Dirichlet eigenvalues below {args.lambda_max})"
-        )
-    lam = dirs[args.lambda_index - 1]
+    k = args.lambda_index
+    if k < 1:
+        raise DomainError(f"lambda-index must be >= 1, got {k}")
+    # bands_window(V, k) lies above the k-th Dirichlet eigenvalue
+    lam = dirichlet_eigenvalues(V, bands_window(V, k))[k - 1]
     state = double_hexagon_state(args.phi, lam, gamma1=args.gamma, V=V)
     report = verify_vertex_conditions(state, args.phi)
     payload = {
@@ -240,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loopstate", help="double-hexagon Dirichlet eigenstate")
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--lambda-index", type=int, default=1)
-    p.add_argument("--lambda-max", type=float, default=250.0)
     p.add_argument("--potential", default="zero")
     p.add_argument("--gamma", type=int, default=0)
     p.add_argument("--output", default=None)

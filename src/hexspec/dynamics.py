@@ -26,9 +26,8 @@ class CocycleConfig:
     def __post_init__(self):
         if self.theta_samples < 64:
             raise DomainError("theta_samples must be >= 64")
-        n = self.max_n
-        if n < 1 or (n & (n - 1)) != 0:
-            raise DomainError("max_n must be a power of 2")
+        if self.max_n < 1:
+            raise DomainError("max_n must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,6 @@ class LyapunovEstimate:
     value: float
     converged: bool
     n_used: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from .errors import DomainError
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
+N_CONVERGENTS = 40  # at most this many are kept for a real flux
 
 
 def continued_fraction(alpha: float, n_terms: int) -> list[tuple[int, int]]:
@@ -62,13 +63,13 @@ class Flux:
 
     @classmethod
     def rational(cls, p: int, q: int) -> "Flux":
-        g = math.gcd(p, q)
+        g = math.gcd(p, q) or 1  # gcd(0, 0) = 0; q = 0 is rejected below
         return cls(p=p // g, q=q // g)
 
     @classmethod
-    def real(cls, value: float, n_convergents: int = 40) -> "Flux":
+    def real(cls, value: float) -> "Flux":
         frac = value - math.floor(value)
-        conv = continued_fraction(frac, n_convergents) if 0 < frac < 1 else []
+        conv = continued_fraction(frac, N_CONVERGENTS) if 0 < frac < 1 else []
         return cls(value=value, convergents=tuple(conv))
 
     @property
@@ -92,9 +93,9 @@ class Flux:
         return repr(self.value)
 
 
-def golden_flux(n_convergents: int = 40) -> Flux:
+def golden_flux() -> Flux:
     """The golden-mean flux quantum (sqrt(5)-1)/2, all partial quotients 1."""
-    return Flux.real(GOLDEN_MEAN, n_convergents)
+    return Flux.real(GOLDEN_MEAN)
 
 
 def reduced_fractions(q_max: int) -> list[tuple[int, int]]:

@@ -84,14 +84,18 @@ def _graph(inverters, fracs: list[tuple[int, int]]):
 
 @lru_cache(maxsize=8)
 def _hill_side(V: PotentialSpec, n_bands: int):
-    """Flux-independent Hill data: bands, one batched inverter per band, and
-    the Dirichlet eigenvalues up to the last band edge plus one.  The bands
-    and the Dirichlet eigenvalues share one window, so one counting pass."""
+    """Flux-independent Hill data: bands, one batched inverter per band, the
+    Dirichlet eigenvalues up to the last band edge plus one, and per band its
+    Dirichlet edges and Dirac point.  The bands and the Dirichlet eigenvalues
+    share one window, so one counting pass."""
     bands = tuple(hill_bands_first_n(V, n_bands))
     inverters = tuple(BandInverter(V, b) for b in bands)
     dirs = dirichlet_eigenvalues(V, bands_window(V, n_bands))
     dir_all = tuple(d for d in dirs if d < bands[-1].beta + 1.0)
-    return bands, inverters, dir_all
+    dir_edges = tuple(tuple(e for e in (b.alpha, b.beta)
+                            if any(abs(d - e) < 1e-6 for d in dir_all)) for b in bands)
+    diracs = tuple(float(inv(0.0)[0]) for inv in inverters)
+    return bands, inverters, dir_all, dir_edges, diracs
 
 
 def graph_spectrum(
@@ -102,22 +106,17 @@ def graph_spectrum(
     if not flux.is_rational:
         raise DomainError("graph_spectrum needs rational flux; use dynamics "
                           "covers for irrational flux")
-    bands, inverters, dir_all = _hill_side(V, n_bands)
+    bands, inverters, _, dir_edges, diracs = _hill_side(V, n_bands)
     rows, _ = _graph(inverters, [(flux.p, flux.q)])
-    out = []
-    for k, (band, inv, r) in enumerate(zip(bands, inverters, np.split(rows, n_bands)), start=1):
-        cont = BandList(r.lo, r.hi)
-        dirs = tuple(e for e in (band.alpha, band.beta)
-                     if any(abs(d - e) < 1e-6 for d in dir_all))
-        dirac = float(inv(0.0)[0])
-        out.append(GraphSpectrum(k, band, cont, dirs, dirac))
-    return out
+    per_band = zip(bands, np.split(rows, n_bands), dir_edges, diracs)
+    return [GraphSpectrum(k, band, BandList(r.lo, r.hi), dirs, dirac)
+            for k, (band, r, dirs, dirac) in enumerate(per_band, start=1)]
 
 
 def dirac_points(V: PotentialSpec, n_bands: int) -> list[float]:
     """Per Hill band, the unique energy with Delta = 0."""
-    bands, inverters, _ = _hill_side(V, n_bands)
-    return [float(inv(0.0)[0]) for inv in inverters]
+    *_, diracs = _hill_side(V, n_bands)
+    return list(diracs)
 
 
 def butterfly(
@@ -134,7 +133,7 @@ def butterfly(
     """
     if q_max < 1:
         raise DomainError(f"q_max must be >= 1, got {q_max}")
-    _, inverters, dir_lines = _hill_side(V, n_bands)
+    _, inverters, dir_lines, _, _ = _hill_side(V, n_bands)
     rows, residuals = _graph(inverters, reduced_fractions(q_max))
     return ButterflyDataset(
         rows=rows,

@@ -211,19 +211,20 @@ def _bisect_many(f, lo, hi, increasing, xtol):
 
     `increasing` says, per bracket or for all, which way f crosses zero.
     Each call of f maps the midpoints of all brackets to values of their
-    shape, and each bracket keeps the half where f changes sign.  Halvings
-    stop once no bracket is wider than xtol, or after 60, which leave any
-    bracket here a few ulp wide.
+    shape, and each bracket keeps the half where f changes sign.  A bracket
+    within xtol stops halving, so its result does not depend on the others;
+    all stop after 60 halvings, which leave any bracket here a few ulp wide.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     sign = np.where(increasing, 1.0, -1.0)
     for _ in range(_MAX_HALVINGS):
-        if np.max(hi - lo, initial=0.0) <= xtol:
+        live = hi - lo > xtol
+        if not live.any():
             break
         mid = 0.5 * (lo + hi)
         below = sign * f(mid) < 0.0
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -231,9 +232,12 @@ def _bisect_many(f, lo, hi, increasing, xtol):
 def _eigenvalues(V: PotentialSpec, lambda_max: float, steps: int):
     """Neumann and Dirichlet eigenvalues below lambda_max, as two sorted
     tuples.  One count at lambda_max gives how many there are of each
-    kind; the k-th of a kind is then bisected on "count >= k" from
-    [min V - 1, lambda_max], all of them in one batch.  Cached, so the
-    bands and the Dirichlet eigenvalues of one window cost one pass."""
+    kind; the k-th of a kind is then bisected on "count >= k", all of them
+    in one batch, from [o, o + 2^M]: o = floor(min V) - 1, 2^M the least
+    power of two above lambda_max - o.  Every window so halves through the
+    same exact midpoints to the same last bracket (2^-40 wide, one ulp above
+    2^13), so an eigenvalue's bits do not depend on the window.  Cached, so
+    the bands and the Dirichlet eigenvalues of one window cost one pass."""
     if lambda_max > COUNT_LAMBDA_MAX * (steps / DEFAULT_STEPS) ** 2:
         raise DomainError(f"lambda_max {lambda_max:g} is above the range where "
                           f"{steps} steps count eigenvalues exactly")
@@ -254,9 +258,9 @@ def _eigenvalues(V: PotentialSpec, lambda_max: float, steps: int):
         n_neu, n_dir = count(lams)
         return np.where(kind == 1, n_dir, n_neu) - k + 0.5
 
-    # no eigenvalue lies below min V
-    roots = _bisect_many(above, np.full(k.size, V.min_value - 1.0),
-                         np.full(k.size, lambda_max), True, xtol=EDGE_TOL)
+    lo = np.floor(V.min_value) - 1.0  # no eigenvalue lies below min V
+    hi = lo + 2.0 ** np.frexp(lambda_max - lo)[1]
+    roots = _bisect_many(above, np.full(k.size, lo), np.full(k.size, hi), True, xtol=EDGE_TOL)
     return tuple(roots[kind == 0].tolist()), tuple(roots[kind == 1].tolist())
 
 

@@ -7,7 +7,10 @@ import pytest
 
 from hexspec.cli import _butterfly_csv, _butterfly_svg, main
 from hexspec.graph import ButterflyDataset, butterfly
+from hexspec.hill import dirichlet_eigenvalues
 from hexspec.potentials import parse_potential
+
+V0 = parse_potential("zero")
 
 
 def test_bands_half_flux_json(tmp_path):
@@ -46,7 +49,10 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
     ["cover", "--c2", "-1"],
     ["cover", "--c2", "inf"],
     ["loopstate", "--phi", "nan"],
-    ["loopstate", "--phi", "1.0", "--lambda-max", "inf"],
+    ["loopstate", "--phi", "1.0", "--lambda-index", "0"],
+    ["bands", "--flux", "0/0"],
+    ["lyapunov", "--flux", "0/0"],
+    ["cover", "--alpha", "0/0"],
     ["lyapunov", "--lambdas=nan,inf"],
     ["lyapunov", "--tolerance", "nan"],
 ])
@@ -221,5 +227,25 @@ def test_loopstate_finds_close_dirichlet_pair(tmp_path):
     np.savetxt(well, 3000.0 * np.exp(-(((t - 0.5) / 0.06) ** 2)), fmt="%.17g")
     out = tmp_path / "state.json"
     assert main(["loopstate", "--phi", str(math.pi / 2), "--potential", f"file:{well}",
-                 "--lambda-index", "1", "--lambda-max", "200", "--output", str(out)]) == 0
+                 "--lambda-index", "1", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["dirichlet_lambda"] == pytest.approx(52.046, abs=2e-3)
+
+
+def test_loopstate_takes_its_window_from_the_index(tmp_path):
+    # the sixth Dirichlet eigenvalue of V = 0, 36 pi^2, lies above 250; any
+    # window gives each eigenvalue the same bits
+    out = tmp_path / "state.json"
+    dirs = dirichlet_eigenvalues(V0, 1000.0)
+    assert dirs[2] == dirichlet_eigenvalues(V0, 250.0)[2]
+    for k in (3, 6):
+        assert main(["loopstate", "--phi", "1.0", "--lambda-index", str(k),
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["dirichlet_lambda"] == dirs[k - 1]
+    with pytest.raises(SystemExit):
+        main(["loopstate", "--phi", "1.0", "--lambda-max", "250"])
+
+
+def test_lyapunov_takes_any_max_n(tmp_path):
+    out = tmp_path / "lyap.csv"
+    assert main(["lyapunov", "--max-n", "10000", "--lambdas=-3", "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[1].endswith(",1")

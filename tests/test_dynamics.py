@@ -43,7 +43,7 @@ def test_cocycle_config_validation():
     with pytest.raises(DomainError):
         CocycleConfig(flux=GOLD, theta_samples=10)
     with pytest.raises(DomainError):
-        CocycleConfig(flux=GOLD, max_n=1000)
+        CocycleConfig(flux=GOLD, max_n=0)
 
 
 def test_correction_integral_is_zero():

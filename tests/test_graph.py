@@ -175,10 +175,31 @@ def test_butterfly_holds_one_copy_of_the_rows():
 def test_hill_side_makes_one_counting_pass():
     # the bands and the Dirichlet lines come from one cached pass
     hill._eigenvalues.cache_clear()
-    bands, _, dirs = graph._hill_side.__wrapped__(VM, 2)
+    bands, _, dirs, _, _ = graph._hill_side.__wrapped__(VM, 2)
     info = hill._eigenvalues.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert len(bands) == 2 and dirs[0] in (bands[0].beta, bands[1].alpha)
+
+
+def test_band_rows_do_not_depend_on_the_band_count():
+    rows = butterfly(V0, 20, 5).rows
+    assert np.array_equal(butterfly(V0, 20, 1).rows, rows[rows.hill_band == 1])
+
+
+def test_graph_spectrum_inverts_once_per_flux_and_band(monkeypatch):
+    # the Dirac points are inverted once per potential and band count
+    calls = []
+    invert = hill.BandInverter.__call__
+
+    def counted(self, w):
+        calls.append(self)
+        return invert(self, w)
+
+    monkeypatch.setattr(hill.BandInverter, "__call__", counted)
+    graph._hill_side.cache_clear()
+    for q in range(11, 31):
+        graph_spectrum(VM, Flux.rational(1, q), 3)
+    assert len(calls) == 20 * 3 + 3
 
 
 def test_butterfly_threaded_is_deterministic():

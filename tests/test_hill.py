@@ -304,6 +304,29 @@ def test_hill_bands_first_n_is_one_pass(monkeypatch, V, n):
     assert [b.index for b in bands] == list(range(1, n + 1))
 
 
+@pytest.mark.parametrize("V", [V0, VM, parse_potential("mathieu:-50"), _double_well()])
+def test_eigenvalues_do_not_depend_on_the_window(V):
+    # every window bisects on one dyadic grid and each bracket stops in its
+    # 2^-40 cell, so a smaller window gives a bitwise prefix; the 1e4 window
+    # has brackets above 2^13, where that cell is below one ulp
+    firsts = [hill_bands_first_n(V, n) for n in range(1, 6)]
+    assert all(bands == firsts[-1][:n] for n, bands in enumerate(firsts, start=1))
+    windows = (60.0, 250.0, 1000.0, 3000.0, 1e4)
+    dirs = [dirichlet_eigenvalues(V, w) for w in windows]
+    bands = [hill_bands(V, w) for w in windows]
+    for d, b in zip(dirs, bands):
+        assert d == dirs[-1][:len(d)] and b == bands[-1][:len(b)]
+
+
+def test_bisect_many_stops_each_bracket_within_xtol():
+    # above 2^13 a bracket cannot get within 1e-12 and halves to the cap;
+    # the bracket below must stop where it stops alone
+    roots = np.array([1.0 / 3.0, 1e4 + 1.0 / 3.0])
+    alone = _bisect_many(lambda x: x - roots[:1], [0.0], [1.0], True, 1e-12)
+    both = _bisect_many(lambda x: x - roots, [0.0, 8192.0], [1.0, 16384.0], True, 1e-12)
+    assert both[0] == alone[0]
+
+
 @st.composite
 def _brackets(draw):
     """Brackets with a monotone cubic on each, some one ulp wide."""
