@@ -138,6 +138,8 @@ def _parse_lambdas(text: str) -> list[float]:
             lams = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"bad lambdas {text!r}: a comma list or lo:hi:n") from exc
+    if not lams:
+        raise DomainError(f"bad lambdas {text!r}: the grid is empty")
     if not all(math.isfinite(x) for x in lams):
         raise DomainError(f"bad lambdas {text!r}: every energy must be finite")
     return lams

@@ -337,6 +337,8 @@ def invert_discriminant_on_band(
 _MODEL_NODES = 32
 _TABLE_CELLS = 256
 _NEWTON_STEPS = 4
+#: targets per pass of an inverter call; bounds its working set
+_INVERT_CHUNK = 2**15
 
 
 class BandInverter:
@@ -379,8 +381,15 @@ class BandInverter:
         w = np.atleast_1d(np.asarray(w, dtype=float))
         if np.any(w < -1.0 - 1e-12) or np.any(w > 1.0 + 1e-12):
             raise DomainError("discriminant target outside [-1, 1]")
-        shape = w.shape
-        w = np.clip(w, -1.0, 1.0).ravel()
+        flat = w.ravel()
+        lam = np.empty(flat.shape)
+        for i in range(0, flat.size, _INVERT_CHUNK):
+            lam[i:i + _INVERT_CHUNK] = self._invert(flat[i:i + _INVERT_CHUNK])
+        return lam.reshape(w.shape)
+
+    def _invert(self, w):
+        """Invert a 1-D chunk of targets checked to lie in [-1, 1]."""
+        w = np.clip(w, -1.0, 1.0)
         k = self._angle(w)
         cell = np.clip(np.searchsorted(self._k, k, side="right") - 1, 0, _TABLE_CELLS - 1)
         lo, hi = self._table[cell], self._table[cell + 1]
@@ -396,5 +405,4 @@ class BandInverter:
         # Delta = +-1 at the edges by definition; at a closed gap, where
         # Delta' = 0, a model error of 1e-15 would move that crossing by 1e-7
         at_edge = [w == self._w_alpha, w == -self._w_alpha]
-        lam = np.select(at_edge, [self.band.alpha, self.band.beta], lam)
-        return lam.reshape(shape)
+        return np.select(at_edge, [self.band.alpha, self.band.beta], lam)

@@ -45,6 +45,7 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
     ["butterfly", "--qmax", "0"],
     ["lyapunov", "--lambdas=1:2:x"],
     ["lyapunov", "--lambdas=abc"],
+    ["lyapunov", "--lambdas=-6:10:0"],
     ["cover", "--level", "-1"],
     ["cover", "--c2", "-1"],
     ["cover", "--c2", "inf"],
@@ -243,6 +244,30 @@ def test_loopstate_takes_its_window_from_the_index(tmp_path):
         assert json.loads(out.read_text())["dirichlet_lambda"] == dirs[k - 1]
     with pytest.raises(SystemExit):
         main(["loopstate", "--phi", "1.0", "--lambda-max", "250"])
+
+
+# the default scan (golden flux, -6:10:17) as the one-factor-per-step
+# product gave it; the Dirac energy -3 is the ill-conditioned one
+DEFAULT_LYAPUNOV_SCAN = [
+    (-6, 1.70044552323829), (-5, 1.47037675181174), (-4, 1.13944729846962),
+    (-3, 0.000250059250063459), (-2, 0.54739285259767), (-1, 0.622968633718315),
+    (0, 0.489106470678292), (1, 0.799272281516184), (2, 0.728005087469535),
+    (3, 0.314853824912597), (4, 1.10732500783654), (5, 1.45823932722695),
+    (6, 1.6942709202375), (7, 1.87718753102937), (8, 2.02817018616522),
+    (9, 2.15741509051108), (10, 2.27073756903944),
+]
+
+
+def test_default_lyapunov_scan_is_pinned(tmp_path):
+    out = tmp_path / "lyap.csv"
+    assert main(["lyapunov", "--output", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [lam for lam, _ in DEFAULT_LYAPUNOV_SCAN]
+    assert [r[2] for r in rows] == ["1"] * len(DEFAULT_LYAPUNOV_SCAN)
+    for (lam, want), row in zip(DEFAULT_LYAPUNOV_SCAN, rows):
+        # a reassociated product moves L by rounding: 1.0e-9 at the Dirac
+        # energy, where the square root magnifies G_q's error, 1e-15 elsewhere
+        assert abs(float(row[1]) - want) <= 1e-8, lam
 
 
 def test_lyapunov_takes_any_max_n(tmp_path):

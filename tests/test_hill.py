@@ -450,3 +450,16 @@ def test_band_inverter_is_independent_of_batch():
         lams = inv(ws)
         assert [inv(w)[0] for w in ws] == lams.tolist()
         assert inv(ws[::-1]).tolist() == lams[::-1].tolist()
+
+
+def test_band_inverter_chunks_leave_every_bit(monkeypatch):
+    # a call inverts its targets in chunks of _INVERT_CHUNK; chunks of 7
+    # split this (50, 2) batch across rows and must give the same bits
+    band = hill_bands_first_n(VM, 1)[0]
+    inv = BandInverter(VM, band)
+    ws = np.linspace(-1.0, 1.0, 100).reshape(50, 2)
+    whole = inv(ws)
+    monkeypatch.setattr(hill, "_INVERT_CHUNK", 7)
+    chunked = inv(ws)
+    assert chunked.shape == (50, 2)
+    assert chunked.tolist() == whole.tolist()
