@@ -11,9 +11,11 @@ Example:
 """
 
 import argparse
+import math
 import sys
 
 from hexspec.dynamics import holder_radius, holder_ratio
+from hexspec.errors import DomainError
 from hexspec.flux import Flux, parse_flux
 from hexspec.jacobi import rational_spectrum
 
@@ -26,8 +28,21 @@ def main() -> int:
                     help="Holder constant; default 1.5 x max probed ratio")
     args = ap.parse_args()
 
-    flux = parse_flux(args.alpha)
+    try:
+        flux = parse_flux(args.alpha)
+    except DomainError as exc:
+        ap.error(str(exc))
+    if args.levels < 0:
+        ap.error(f"--levels must be >= 0, got {args.levels}")
+    if args.c2 is not None and not 0.0 <= args.c2 < math.inf:
+        ap.error(f"--c2 must be finite and >= 0, got {args.c2}")
     conv = flux.convergents[: args.levels + 1]
+    if not conv:
+        ap.error(f"--alpha {args.alpha} has no convergents: give an irrational flux")
+    if args.c2 is None and len(conv) < 4:
+        # C2 is fitted on the pairs of consecutive convergents from index 2 on
+        ap.error(f"fitting C2 needs 4 convergents, and --alpha {args.alpha} "
+                 f"--levels {args.levels} gives {len(conv)}: raise --levels or give --c2")
     # each Sigma_{p_n/q_n} is solved once; holder_ratio and holder_radius are
     # the formulas of holder_probe and irrational_cover, applied to these
     sigmas = [rational_spectrum(p, q) for p, q in conv]

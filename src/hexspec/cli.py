@@ -257,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.fn(args)
-    except HexspecError as exc:
+    except (HexspecError, OSError) as exc:  # OSError: an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

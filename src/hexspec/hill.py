@@ -360,6 +360,9 @@ class BandInverter:
     def __init__(self, V: PotentialSpec, band: HillBand):
         self.band = band
         a, b = band.alpha, band.beta
+        if not b > a:  # a band narrower than the bisection cell has no model
+            raise DomainError(f"Hill band {band.index} [{a!r}, {b!r}] is narrower "
+                              "than the cell its edges are bisected to")
         nodes = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(
             np.pi * np.arange(_MODEL_NODES) / (_MODEL_NODES - 1))
         nodes[[0, -1]] = a, b

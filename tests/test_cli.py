@@ -56,6 +56,12 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
     ["cover", "--alpha", "0/0"],
     ["lyapunov", "--lambdas=nan,inf"],
     ["lyapunov", "--tolerance", "nan"],
+    # band 1 of these wells is narrower than the cell its edges are bisected to
+    ["bands", "--flux", "1/3", "--potential", "mathieu:1800"],
+    ["bands", "--flux", "1/3", "--potential", "mathieu:-1800"],
+    ["butterfly", "--qmax", "3", "--hill-bands", "1", "--potential", "mathieu:1800"],
+    ["bands", "--flux", "1/3", "--potential", "mathieu:nan"],
+    ["bands", "--flux", "1/3", "--potential", "mathieu:inf"],
 ])
 def test_bad_inputs_exit_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] == "butterfly":
@@ -63,6 +69,20 @@ def test_bad_inputs_exit_with_an_error_line(argv, tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.iterdir())
+
+
+def test_deep_mathieu_well_is_past_the_counting_range(capsys):
+    assert main(["bands", "--flux", "1/3", "--potential", "mathieu:1e8"]) == 1
+    assert "above the range where 4096 steps count eigenvalues" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bands", "--flux", "1/3"],
+                                  ["butterfly", "--qmax", "2", "--hill-bands", "1"]])
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_unwritable_output_exits_with_an_error_line(argv, where, tmp_path, capsys):
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "out.json"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_verify_passes(capsys):
@@ -215,6 +235,20 @@ def test_loopstate_json(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["max_violation"] <= 1e-10
     assert len(payload["outer_coeffs"]) == 10
+
+
+def test_loopstate_near_the_flux_lattice(tmp_path):
+    out = tmp_path / "state.json"
+    assert main(["loopstate", "--phi", "1e-6", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["slicing_coeff"] == [1.0, 0.0]
+
+
+def test_loopstate_in_a_deep_well(tmp_path):
+    # the Sturm count accepts lambda_1; the check's finer run reads s(1) = 2.2e-3
+    out = tmp_path / "state.json"
+    assert main(["loopstate", "--phi", "1.0", "--lambda-index", "1",
+                 "--potential", "mathieu:1000", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["max_violation"] == pytest.approx(2.2e-3, rel=0.02)
 
 
 def test_loopstate_bad_index():

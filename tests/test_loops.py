@@ -74,6 +74,13 @@ def test_state_rejects_non_dirichlet_lambda():
         double_hexagon_state(0.3, 12.34, V=V0)
 
 
+def test_exact_dirichlet_eigenvalues_are_accepted():
+    # the kernel puts (n pi)^2 5.8e-7 relative off at n = 100; the count's
+    # window, 1e-6 relative, takes the exact eigenvalue all the same
+    for n in (1, 21, 50, 100):
+        assert double_hexagon_state(0.5, (n * math.pi) ** 2, V=V0).slicing_coeff == 1.0
+
+
 def test_kernel_branch_at_pi():
     lam = dirichlet_eigenvalues(V0, 50.0)[0]
     st_ = double_hexagon_state(math.pi, lam, V=V0)
@@ -123,9 +130,41 @@ def test_state_and_checks_integrate_once(monkeypatch):
         calls.append(energy)
         return integrate_monodromy(V, energy)
 
-    loops._monodromy.cache_clear()
     monkeypatch.setattr(loops, "integrate_monodromy", counted)
     state = double_hexagon_state(0.0, lam, V=VM)
     reports = [verify_vertex_conditions(state, phi) for phi in (0.0, math.pi / 2, math.pi)]
-    assert calls == [lam]
+    # the state tests lambda by the Sturm count; each check integrates once
+    assert calls == [lam] * 3
     assert all(r["s1p"] == integrate_monodromy(VM, lam).s1p for r in reports)
+
+
+def _coeffs_to_40_digits(phi):
+    """T a = y solved in 40-digit arithmetic, T built in mpmath from the
+    phases of the gamma_1 = 0 loop: diagonal and cyclic superdiagonal, e^{i beta} on even
+    rows and 1 on odd ones; y = -1 at rows 1 and 6."""
+    mp = pytest.importorskip("mpmath")
+    beta = double_hexagon_loop(phi).beta_tilde
+    with mp.workdps(40):
+        T = mp.zeros(10, 10)
+        for k in range(10):
+            odd = k % 2
+            T[k, k] = 1 if odd else mp.expj(beta[k])
+            T[k, (k + 1) % 10] = 1 if odd else mp.expj(beta[k + 1])
+        y = mp.matrix([0, -1, 0, 0, 0, 0, -1, 0, 0, 0])
+        return np.array([complex(x) for x in mp.lu_solve(T, y)])
+
+
+@pytest.mark.parametrize("phi", [x for eps in (1e-9, 1e-8, 1e-7, 1e-6)
+                                 for x in (eps, math.pi - eps, math.pi + eps)])
+def test_states_near_the_flux_lattice(phi):
+    # T's smallest singular value falls like |2 Phi mod 2 pi| here, so two
+    # backward-stable solvers differ along its near-kernel; the state exists
+    # all the same, and its coefficients are those of an exact solve
+    exact = _coeffs_to_40_digits(phi)
+    for V in (V0, VM):
+        for lam in dirichlet_eigenvalues(V, 100.0)[:2]:
+            st_ = double_hexagon_state(phi, lam, V=V)
+            assert st_.slicing_coeff == 1.0
+            assert verify_vertex_conditions(st_, phi)["max_violation"] <= 1e-10
+            a = np.array(st_.outer_coeffs)
+            assert np.max(np.abs(a - exact)) <= 1e-8 * np.max(np.abs(exact))

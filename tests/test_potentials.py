@@ -3,11 +3,13 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import scipy.interpolate
 from scipy.interpolate import CubicSpline
 
 import hexspec
-from hexspec.potentials import PotentialSpec
+from hexspec.errors import DomainError
+from hexspec.potentials import PotentialSpec, parse_potential
 
 
 def test_tabulated_spline_is_built_once(monkeypatch):
@@ -41,3 +43,17 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("spec", ["mathieu:1e8", "mathieu:-1e8"])
+def test_deep_mathieu_wells_construct(spec):
+    # a cosine well is even by construction; rounding alone puts
+    # V(t) - V(1 - t) at 6.9e-8 here
+    V = parse_potential(spec)
+    assert V.max_value == pytest.approx(1e8)
+
+
+@pytest.mark.parametrize("spec", ["mathieu:nan", "mathieu:inf", "mathieu:-inf"])
+def test_non_finite_mathieu_amplitude_is_rejected(spec):
+    with pytest.raises(DomainError, match="amplitude"):
+        parse_potential(spec)

@@ -19,6 +19,18 @@ def test_cantor_covers_levels_9():
     assert rows[-1][1] == "55/89" and 4.0 <= float(rows[-1][4]) <= 5.0
 
 
+def test_cantor_covers_bad_input_is_a_usage_error():
+    for args in (["--levels", "0"], ["--levels", "1"], ["--levels", "2"],
+                 ["--alpha", "0.5"], ["--c2", "-1"], ["--alpha", "nan"],
+                 ["--alpha", "1/3", "--c2", "2"]):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "cantor_covers.py"), *args],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and "usage:" in proc.stderr, args
+        assert "Traceback" not in proc.stderr and not proc.stdout, args
+
+
 def _lyapunov_scan(*args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "lyapunov_scan.py"), *args],
