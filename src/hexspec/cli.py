@@ -25,7 +25,9 @@ from .hill import bands_window, dirichlet_eigenvalues
 from .loops import double_hexagon_state, verify_vertex_conditions
 from .potentials import parse_potential
 
-_CSV_CHUNK = 65536  # butterfly rows formatted per write, CSV and SVG
+# butterfly rows formatted per write, CSV and SVG: a chunk's row tuples and
+# strings peak at about 250 bytes per row, 4 MB here
+_CSV_CHUNK = 16384
 
 
 def _fmt(x: float) -> str:

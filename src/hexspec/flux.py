@@ -103,6 +103,14 @@ def reduced_fractions(q_max: int) -> list[tuple[int, int]]:
     return [(p, q) for q in range(1, q_max + 1) for p in range(q) if math.gcd(p, q) == 1]
 
 
+def mirror_numerator(p: int, q: int) -> int:
+    """min(p mod q, (q - p) mod q), the numerator that flux p/q shares with
+    its mirror (q - p)/q: their operators are complex conjugates, so their
+    spectra coincide."""
+    p %= q
+    return min(p, q - p)
+
+
 def parse_flux(text: str) -> Flux:
     """Parse "golden", "p/q", or a decimal into a Flux; a decimal is taken
     mod 1, as the spectrum is periodic in the flux with period 1."""

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .flux import Flux, reduced_fractions
+from .flux import Flux, mirror_numerator, reduced_fractions
 from .hill import (
     BandInverter,
     HillBand,
@@ -56,18 +56,30 @@ class ButterflyDataset:
 def _graph(inverters, fracs: list[tuple[int, int]]):
     """Pull Sigma_{p/q} back through Delta into every Hill band for each
     (p, q) of fracs: each band's inverter takes every Q-band end in one call.
-    Returns the read-only rows (p, q, hill_band, lo, hi), flux by flux in the
-    order of fracs, then by band, then by (lo, hi), and per band the model
-    residual max |Delta(lambda) - w| over the ends."""
-    qbands = [q_spectrum(rational_spectrum(p, q)).bands for p, q in fracs]
+    Flux p/q and its mirror (q - p)/q share Sigma, so only one flux of each
+    pair is pulled back and its rows are copied to the other; the inverter
+    gives a target the same bits in any batch, so the copy is what a second
+    inversion would give.  Returns the read-only rows (p, q, hill_band, lo,
+    hi), flux by flux in the order of fracs, then by band, then by (lo, hi),
+    and per band the model residual max |Delta(lambda) - w| over the ends."""
+    pairs: dict[tuple[int, int], int] = {}
+    pair = np.array([pairs.setdefault((mirror_numerator(p, q), q), len(pairs))
+                     for p, q in fracs])
+    qbands = [q_spectrum(rational_spectrum(p, q)).bands for p, q in pairs]
     counts = np.array([len(b) for b in qbands])
-    flux = np.repeat(np.arange(len(fracs)), counts)
     w = np.concatenate([np.stack((b.lo, b.hi), axis=1) for b in qbands])
+    fcounts = counts[pair]
+    flux = np.repeat(np.arange(len(fracs)), fcounts)
+    fstart = np.cumsum(fcounts) - fcounts
+    j = np.arange(len(flux)) - fstart[flux]
+    # the j-th end of flux f is end src of w, which holds the ends pair by pair
+    src = (np.cumsum(counts) - counts)[pair][flux] + j
     n = len(inverters)
-    rows = np.recarray(n * len(w), formats="i8,i8,i8,f8,f8", names="p,q,hill_band,lo,hi")
-    rows.p, rows.q = np.repeat(np.reshape(fracs, (-1, 2)), n * counts, axis=0).T
-    # flux f's rows are n runs of counts[f], one per band, from n * start[f]
-    run = np.arange(len(w)) + (n - 1) * (np.cumsum(counts) - counts)[flux]
+    rows = np.recarray(n * len(flux), formats="i8,i8,i8,f8,f8", names="p,q,hill_band,lo,hi")
+    rows.p, rows.q = np.repeat(np.reshape(fracs, (-1, 2)), n * fcounts, axis=0).T
+    # flux f's rows are n runs of fcounts[f], one per band, from n * fstart[f]
+    run = n * fstart[flux] + j
+    by_pair = np.repeat(np.arange(len(counts)), counts)
     residuals = []
     for k, inv in enumerate(inverters):
         lams = inv(w)
@@ -75,9 +87,10 @@ def _graph(inverters, fracs: list[tuple[int, int]]):
         # the image of [w1, w2] is [min, max] of its ends' images, whichever way
         # Delta runs, also where rounding swaps the images of a point band's ends
         lams = np.sort(lams, axis=1)
-        dest = run + k * counts[flux]
+        order = np.lexsort((lams[:, 1], lams[:, 0], by_pair))
+        dest = run + k * fcounts[flux]
         rows.hill_band[dest] = k + 1
-        rows.lo[dest], rows.hi[dest] = lams[np.lexsort((lams[:, 1], lams[:, 0], flux))].T
+        rows.lo[dest], rows.hi[dest] = lams[order[src]].T
     rows.flags.writeable = False
     return rows, tuple(residuals)
 
@@ -128,8 +141,10 @@ def butterfly(
     All discriminant inversions per Hill band are batched through one call
     of the band's inverter, a Chebyshev model of Delta built from 32
     energies, so the Hill side costs one small integration per band plus
-    cheap eigensolves per flux.  `threads` is accepted for compatibility and
-    ignored: the fluxes run in one thread.
+    cheap eigensolves per flux.  Sigma_{p/q} = Sigma_{(q-p)/q}, so one flux
+    of each mirror pair is solved and pulled back, and the columns (p, q, k)
+    and (q - p, q, k) are equal bit for bit.  `threads` is accepted for
+    compatibility and ignored: the fluxes run in one thread.
     """
     if q_max < 1:
         raise DomainError(f"q_max must be >= 1, got {q_max}")

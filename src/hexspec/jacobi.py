@@ -5,11 +5,12 @@ and the per-theta / full rational-flux band structure."""
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .flux import Flux
+from .flux import Flux, mirror_numerator
 from .intervals import BandList
 
 #: tolerance for the theta in 1/2 + (1/q)Z membership test of build_Mq
@@ -218,9 +219,24 @@ def rational_spectrum(p: int, q: int) -> BandList:
     dense blocks of _bloch_blocks remain the tests' oracle).  The bottom edge
     is exactly -3 for every p/q (Chambers); it is pinned there, as the
     eigensolve puts it a few ulp off and the square root in q_spectrum would
-    open a gap at 0."""
+    open a gap at 0.
+
+    Flux p/q and (q - p)/q give complex-conjugate operators, so their Sigma
+    coincide: both members of the pair are solved at mirror_numerator(p, q)
+    = min(p mod q, q - p mod q) and get the same read-only BandList, from a
+    cache of the last 256 solves."""
+    if q < 1:
+        raise DomainError(f"flux {p}/{q} needs a positive denominator")
     if math.gcd(p, q) != 1:
         raise DomainError(f"flux {p}/{q} is not reduced")
+    return _sigma(mirror_numerator(p, q), q)
+
+
+# In reduced_fractions order q - p comes fewer than phi(q) < q calls after p,
+# so a sweep over all q <= 256 finds every mirror in the cache.
+@lru_cache(maxsize=256)
+def _sigma(p: int, q: int) -> BandList:
+    """Sigma_{p/q} for 0 <= p <= q/2, the -3 check and pin included."""
     los, his = _banded_spectrum(p, q, _theta_stars(q))
     if abs(los[0] + 3.0) > 1e-10:
         raise ConsistencyError(f"bottom of Sigma for p/q={p}/{q} is {los[0]!r}, not -3")

@@ -7,12 +7,13 @@ import pytest
 
 from hexspec import graph, hill
 from hexspec.errors import DomainError
-from hexspec.flux import Flux
+from hexspec.flux import Flux, reduced_fractions
 from hexspec.graph import butterfly, dirac_points, graph_spectrum, local_symmetry_check
 from hexspec.hill import discriminant
 from hexspec.intervals import BandList
+from hexspec.jacobi import rational_spectrum
 from hexspec.potentials import parse_potential
-from hexspec.qlambda import QSpectrum
+from hexspec.qlambda import QSpectrum, q_spectrum
 
 V0 = parse_potential("zero")
 VM = parse_potential("mathieu:20")
@@ -200,6 +201,32 @@ def test_graph_spectrum_inverts_once_per_flux_and_band(monkeypatch):
     for q in range(11, 31):
         graph_spectrum(VM, Flux.rational(1, q), 3)
     assert len(calls) == 20 * 3 + 3
+
+
+@pytest.mark.parametrize("V", [V0, VM], ids=["zero", "mathieu:20"])
+def test_mirror_columns_are_equal_bit_for_bit(V):
+    rows = butterfly(V, 30, 2).rows
+    cols = {}
+    for p, q in set(zip(rows.p.tolist(), rows.q.tolist())):
+        cols[p, q] = rows[(rows.p == p) & (rows.q == q)][["hill_band", "lo", "hi"]]
+    for p, q in cols:
+        assert np.array_equal(cols[p, q], cols[(q - p) % q, q]), (p, q)
+
+
+def test_pullback_inverts_the_q_band_ends_of_each_mirror_pair_once(monkeypatch):
+    targets = []
+    invert = hill.BandInverter.__call__
+
+    def counted(self, w):
+        targets.append(np.shape(w))
+        return invert(self, w)
+
+    butterfly(V0, 30, 2)  # the Hill side, its Dirac inversions included, is cached
+    monkeypatch.setattr(hill.BandInverter, "__call__", counted)
+    butterfly(V0, 30, 2)
+    pairs = {(min(p, q - p), q) for p, q in reduced_fractions(30)}
+    ends = sum(len(q_spectrum(rational_spectrum(p, q)).bands) for p, q in pairs)
+    assert len(pairs) == 140 and targets == [(ends, 2)] * 2
 
 
 def test_butterfly_threaded_is_deterministic():

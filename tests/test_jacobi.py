@@ -368,6 +368,7 @@ def test_rational_spectrum_solves_two_banded_blocks(eigvalsh_calls, monkeypatch)
         return dsbev(ab, *args, **kwargs)
 
     monkeypatch.setattr(lapack, "dsbev", recorded)
+    jacobi._sigma.cache_clear()  # earlier tests may have solved these fluxes
     for p, q in ((0, 1), (1, 2), (2, 7), (13, 21), (55, 89)):
         for solve in (lambda: rational_spectrum(p, q), lambda: theta_spectrum(p, q, 0.3)):
             band_calls.clear()
@@ -419,5 +420,56 @@ def test_rational_spectrum_rejects_a_bottom_edge_far_from_minus_three(monkeypatc
     # at angles other than the extremizing ones the hull misses -3 by far more
     # than rounding, and the pin must not hide that
     monkeypatch.setattr(jacobi, "_theta_stars", lambda q: (0.3, 0.3))
+    jacobi._sigma.cache_clear()  # a cached Sigma_{2/5} would skip the solve
     with pytest.raises(ConsistencyError):
         rational_spectrum(2, 5)
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (1, -3), (0, 0)])
+def test_rational_spectrum_rejects_a_denominator_below_one(p, q):
+    with pytest.raises(DomainError):
+        rational_spectrum(p, q)
+
+
+def test_rational_spectrum_solves_each_flux_once_whatever_its_representative():
+    # 5/3, -1/3 and 2/3 are one flux, and 1/3 its mirror
+    sigma = rational_spectrum(1, 3)
+    for p in (5, -1, 2, 4, -2):
+        assert rational_spectrum(p, 3) is sigma
+    assert not sigma.lo.flags.writeable and not sigma.hi.flags.writeable
+
+
+def test_mirror_fluxes_share_sigma_bit_for_bit():
+    # flux p/q and (q - p)/q give complex-conjugate operators
+    for p, q in reduced_fractions(100):
+        a, b = rational_spectrum(p, q), rational_spectrum(q - p, q)
+        assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi), (p, q)
+
+
+def test_sigma_below_half_flux_is_the_unmirrored_solve():
+    # for p <= q/2 rational_spectrum is the banded solve at p itself, pinned
+    for p, q in reduced_fractions(100):
+        if 2 * p <= q:
+            los, his = jacobi._banded_spectrum(p, q, _theta_stars(q))
+            los[0] = -3.0
+            got = rational_spectrum(p, q)
+            assert np.array_equal(got.lo, los) and np.array_equal(got.hi, his), (p, q)
+
+
+def test_a_sweep_solves_one_flux_of_each_mirror_pair(monkeypatch):
+    # 3044 fluxes with q <= 100: 0/1, 1/2 and 1521 pairs, two dsbev calls each
+    import scipy.linalg.lapack as lapack
+
+    calls = []
+    dsbev = lapack.dsbev
+
+    def counted(ab, *args, **kwargs):
+        calls.append(ab)
+        return dsbev(ab, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dsbev", counted)
+    jacobi._sigma.cache_clear()
+    fracs = reduced_fractions(100)
+    for p, q in fracs:
+        rational_spectrum(p, q)
+    assert len(fracs) == 3044 and len(calls) == 3046

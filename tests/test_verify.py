@@ -61,6 +61,21 @@ def test_banded_vs_dense_check_fails_on_moved_edges(monkeypatch):
     assert not ok and "Sigma edge 1.00e-10" in detail, detail
 
 
+@pytest.mark.parametrize("even_only", [False, True], ids=["every-q", "even-q"])
+def test_banded_vs_dense_check_fails_on_a_wrong_mirror(monkeypatch, even_only):
+    # p > q/2 solved as 1/q instead of (q - p)/q; with even_only, 7/10 is the
+    # only flux of the check that sees it
+    mirror = jacobi.mirror_numerator
+
+    def wrong(p, q):
+        p %= q
+        return 1 if 2 * p > q and (q % 2 == 0 or not even_only) else mirror(p, q)
+
+    monkeypatch.setattr(jacobi, "mirror_numerator", wrong)
+    ok, detail = verify._check_banded_vs_dense()
+    assert not ok, detail
+
+
 def test_q_symmetry_check_fails_on_a_moved_positive_half(monkeypatch):
     # Sigma reaches -3, so the 2q Q-bands split into q negative and q
     # positive ones; moving the positive ones keeps 0 in the set
