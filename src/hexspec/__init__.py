@@ -16,13 +16,7 @@ from .hill import (
     invert_discriminant_on_band,
 )
 from .intervals import BandList
-from .jacobi import (
-    build_Mq,
-    chambers_Gq,
-    rational_spectrum,
-    theta_spectrum,
-    transfer_D,
-)
+from .jacobi import build_Mq, chambers_Gq, rational_spectrum, theta_spectrum
 from .dynamics import (
     CocycleConfig,
     CoverEstimate,

@@ -42,6 +42,14 @@ def continued_fraction(alpha: float, n_terms: int) -> list[tuple[int, int]]:
     return out
 
 
+def check_reduced(p: int, q: int | None) -> None:
+    """Raise DomainError unless p/q is a reduced flux: q >= 1, gcd(p, q) = 1."""
+    if q is None or q < 1:
+        raise DomainError(f"flux {p}/{q} needs a positive denominator")
+    if math.gcd(p, q) != 1:
+        raise DomainError(f"flux {p}/{q} is not reduced")
+
+
 @dataclass(frozen=True)
 class Flux:
     """Flux quantum alpha = Phi/(2 pi), either an exact reduced rational or a
@@ -54,10 +62,7 @@ class Flux:
 
     def __post_init__(self):
         if self.p is not None:
-            if self.q is None or self.q < 1:
-                raise DomainError("rational flux needs a positive denominator")
-            if math.gcd(self.p, self.q) != 1:
-                raise DomainError(f"flux {self.p}/{self.q} is not reduced")
+            check_reduced(self.p, self.q)
         elif self.value is None:
             raise DomainError("flux needs either p/q or a real value")
 

@@ -16,7 +16,6 @@ from .hill import (
     HillBand,
     bands_window,
     dirichlet_eigenvalues,
-    discriminant,
     hill_bands_first_n,
 )
 from .intervals import BandList
@@ -159,18 +158,3 @@ def butterfly(
         inverter_model_error=tuple(inv.model_error for inv in inverters),
         inverter_residual=residuals,
     )
-
-
-def local_symmetry_check(V: PotentialSpec, flux: Flux, band_index: int) -> dict:
-    """Verify that the Delta-image of the computed graph bands in one Hill
-    band is symmetric under negation; returns a report with the deviation."""
-    spec = graph_spectrum(V, flux, band_index)[band_index - 1]
-    ws = np.sort(discriminant(V, spec.continuous_bands.endpoints()))
-    deviation = float(np.max(np.abs(ws + ws[::-1]))) if ws.size else 0.0
-    return {
-        "hill_band": band_index,
-        "flux": str(flux),
-        "delta_image_endpoints": ws.tolist(),
-        "max_asymmetry": deviation,
-        "symmetric": deviation <= 1e-10,
-    }

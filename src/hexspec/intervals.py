@@ -15,7 +15,7 @@ MERGE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class BandList:
-    """Closed intervals [lo[i], hi[i]]; `intervals` views them as tuples."""
+    """Closed intervals [lo[i], hi[i]], lo[i] <= hi[i]; `intervals` views them as tuples."""
 
     lo: np.ndarray = ()
     hi: np.ndarray = ()
@@ -24,19 +24,12 @@ class BandList:
         lo, hi = np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError(f"lo and hi must be 1-D of one length, not {lo.shape}, {hi.shape}")
+        if not (lo <= hi).all():  # a NaN end fails lo <= hi too
+            i = np.flatnonzero(~(lo <= hi))[0]
+            raise ValueError(f"inverted or NaN interval [{lo[i]}, {hi[i]}]")
         lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @staticmethod
-    def from_pairs(pairs) -> "BandList":
-        """Band set from (lo, hi) pairs in any order, sorted by (lo, hi)."""
-        ivs = np.array([(lo, hi) for lo, hi in pairs], dtype=float).reshape(-1, 2)
-        lo, hi = ivs[np.lexsort((ivs[:, 1], ivs[:, 0]))].T
-        bad = np.flatnonzero(hi < lo - MERGE_TOL)
-        if bad.size:
-            raise ValueError(f"inverted interval [{lo[bad[0]]}, {hi[bad[0]]}]")
-        return BandList(lo, np.maximum(lo, hi))
 
     @property
     def intervals(self) -> tuple[tuple[float, float], ...]:

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .flux import Flux, mirror_numerator
+from .flux import Flux, check_reduced, mirror_numerator
 from .intervals import BandList
 
 #: tolerance for the theta in 1/2 + (1/q)Z membership test of build_Mq
@@ -25,21 +25,6 @@ def coeff_c(theta) -> complex:
 def coeff_v(theta) -> float:
     """Diagonal coefficient v(theta) = 2 cos(2 pi theta)."""
     return 2.0 * np.cos(2.0 * np.pi * np.asarray(theta, dtype=float))
-
-
-def transfer_D(lam: float, theta: float, flux: Flux) -> np.ndarray:
-    """Singularity-free transfer matrix D = c * A at one angle.
-
-    D(theta) = [[lam - v(theta), -conj(c(theta - alpha))], [c(theta), 0]].
-    """
-    alpha = flux.alpha
-    return np.array(
-        [
-            [lam - coeff_v(theta), -np.conj(coeff_c(theta - alpha))],
-            [coeff_c(theta), 0.0],
-        ],
-        dtype=complex,
-    )
 
 
 def _d_product(lam, theta, alpha: float, n: int, renorm: bool = False):
@@ -96,6 +81,7 @@ def chambers_Gq(lam, p: int, q: int, theta0: float | None = None):
     theta0 = 1/(4q), which stays away from the decoupling lattice and from
     the extremizers of the trace.
     """
+    check_reduced(p, q)
     if theta0 is None:
         theta0 = 1.0 / (4.0 * q)
     tr = _trace_Dq(lam, theta0, p, q)
@@ -189,6 +175,7 @@ def _banded_spectrum(p: int, q: int, thetas) -> tuple[np.ndarray, np.ndarray]:
 def theta_spectrum(p: int, q: int, theta: float) -> BandList:
     """Per-theta spectrum: q possibly-touching bands whose k-th endpoints are
     the k-th eigenvalues of the nu=1/2 and nu=0 periodic blocks."""
+    check_reduced(p, q)
     los, his = _banded_spectrum(p, q, (theta, theta))
     # interlacing: consecutive bands may touch but must not overlap
     overlap = his[:-1] - los[1:]
@@ -217,18 +204,16 @@ def rational_spectrum(p: int, q: int) -> BandList:
     nu = 1/2 block at the first extremizing angle (G_q = min I_q) and of the
     nu = 0 block at the second (G_q = max I_q), from _banded_spectrum (the
     dense blocks of _bloch_blocks remain the tests' oracle).  The bottom edge
-    is exactly -3 for every p/q (Chambers); it is pinned there, as the
-    eigensolve puts it a few ulp off and the square root in q_spectrum would
-    open a gap at 0.
+    is exactly -3 for every p/q (Chambers), and each block is B B^T - 3 I for
+    a real cyclic bidiagonal B, so Sigma >= -3.  The eigensolve puts the
+    bottom band's ends a few ulp off, so lo is pinned to -3 and hi to at
+    least -3: else the band could invert, or q_spectrum open a gap at 0.
 
     Flux p/q and (q - p)/q give complex-conjugate operators, so their Sigma
     coincide: both members of the pair are solved at mirror_numerator(p, q)
     = min(p mod q, q - p mod q) and get the same read-only BandList, from a
     cache of the last 256 solves."""
-    if q < 1:
-        raise DomainError(f"flux {p}/{q} needs a positive denominator")
-    if math.gcd(p, q) != 1:
-        raise DomainError(f"flux {p}/{q} is not reduced")
+    check_reduced(p, q)
     return _sigma(mirror_numerator(p, q), q)
 
 
@@ -236,9 +221,9 @@ def rational_spectrum(p: int, q: int) -> BandList:
 # so a sweep over all q <= 256 finds every mirror in the cache.
 @lru_cache(maxsize=256)
 def _sigma(p: int, q: int) -> BandList:
-    """Sigma_{p/q} for 0 <= p <= q/2, the -3 check and pin included."""
+    """Sigma_{p/q} for 0 <= p <= q/2, the -3 check and pins included."""
     los, his = _banded_spectrum(p, q, _theta_stars(q))
     if abs(los[0] + 3.0) > 1e-10:
         raise ConsistencyError(f"bottom of Sigma for p/q={p}/{q} is {los[0]!r}, not -3")
-    los[0] = -3.0
+    los[0], his[0] = -3.0, max(his[0], -3.0)
     return BandList(los, his)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .hill import DEFAULT_STEPS, _rk4_fundamental, integrate_monodromy
+from .hill import DEFAULT_STEPS, _rk4_fundamental
 from .potentials import PotentialSpec, parse_potential
 
 #: numerical-rank threshold, relative to the largest singular value
@@ -145,9 +145,12 @@ def double_hexagon_state(phi: float, dirichlet_lambda: float, gamma1: int = 0,
         y[[1, 6]] = -1.0, -cmath.exp(1j * slicing_beta)
         # T's smallest singular value falls like |2 Phi mod 2 pi| near the
         # lattice, where solvers differ along its near-kernel; the residual
-        # and verify_vertex_conditions are what test the state
+        # and verify_vertex_conditions are what test the state.  The residual
+        # is bounded as a backward error, ||T|| <= 2: a grows like
+        # 1/|Phi - pi| near pi for odd gamma_1
         a = np.linalg.solve(T, y)
-        if np.max(np.abs(T @ a - y)) > 1e-12 * max(1.0, np.max(np.abs(y))):
+        scale = max(1.0, np.max(np.abs(y)), np.max(np.abs(a)))
+        if np.max(np.abs(T @ a - y)) > 1e-12 * scale:
             raise ConsistencyError("residual too large for T a = y")
         slice_coeff = 1.0 + 0.0j
     return DoubleHexState(outer_coeffs=tuple(a), slicing_coeff=slice_coeff,
@@ -161,10 +164,12 @@ def verify_vertex_conditions(state: DoubleHexState, phi: float) -> dict:
 
     Each edge carries psi = a * s_lambda, so psi vanishes at all vertices
     (continuity is exact) and the derivative sums use s'(0) = 1 and
-    s'(1) = s1p from the monodromy.
+    s'(1) = s1p.  s(1) and s'(1) come from one run at DEFAULT_STEPS, the
+    discretisation whose Dirichlet count defines lambda: a finer run moves
+    the eigenvalue by its RK4 error, which a deep well magnifies.
     """
-    sol = integrate_monodromy(state.potential, state.dirichlet_lambda)
-    s1p = sol.s1p
+    _, _, s1, s1p = (float(x[0]) for x in _rk4_fundamental(
+        state.potential, [state.dirichlet_lambda], DEFAULT_STEPS)[:4])
     loop = double_hexagon_loop(phi, state.gamma1)
     a = state.outer_coeffs
     n = loop.n_edges
@@ -183,7 +188,7 @@ def verify_vertex_conditions(state: DoubleHexState, phi: float) -> dict:
                 total += state.slicing_coeff  # psi'(0) = 1 on the slicing edge
         violations.append(abs(total))
     # continuity: psi values at vertices are a * s(1) or a * s(0) = 0
-    value_residual = abs(sol.s1) * max(*map(abs, a), abs(state.slicing_coeff))
+    value_residual = abs(s1) * max(*map(abs, a), abs(state.slicing_coeff))
     return {
         "max_violation": max(max(violations), value_residual),
         "derivative_violations": violations,

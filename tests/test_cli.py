@@ -244,11 +244,23 @@ def test_loopstate_near_the_flux_lattice(tmp_path):
 
 
 def test_loopstate_in_a_deep_well(tmp_path):
-    # the Sturm count accepts lambda_1; the check's finer run reads s(1) = 2.2e-3
+    # the Sturm count accepts lambda_1; the check reads s(1) = 2.9e-7 in the
+    # run that defines lambda_1, not in a finer one that moves it
     out = tmp_path / "state.json"
     assert main(["loopstate", "--phi", "1.0", "--lambda-index", "1",
                  "--potential", "mathieu:1000", "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["max_violation"] == pytest.approx(2.2e-3, rel=0.02)
+    assert json.loads(out.read_text())["max_violation"] == pytest.approx(2.92e-7, rel=0.02)
+
+
+def test_loopstate_in_a_deeper_well(tmp_path):
+    # bisection leaves lambda_1 within 2^-41 = 4.5e-13 of the eigenvalue of
+    # the run at its steps, and s(1) moves by 8.3e9 per unit of lambda there,
+    # so |s(1)| <= 3.8e-3 and max |a| = 1; a run at twice the steps reads
+    # s(1) = 1.46 at this lambda
+    out = tmp_path / "state.json"
+    assert main(["loopstate", "--phi", "1.0", "--lambda-index", "1",
+                 "--potential", "mathieu:1500", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["max_violation"] <= 3.8e-3
 
 
 def test_loopstate_bad_index():

@@ -12,10 +12,16 @@ pairs = st.lists(
 )
 
 
+def sorted_bands(pairs):
+    """The band set of (lo, hi) pairs in any order, sorted by (lo, hi)."""
+    lo, hi = np.array(sorted(pairs), dtype=float).reshape(-1, 2).T
+    return BandList(lo, hi)
+
+
 @settings(max_examples=100)
 @given(pairs)
 def test_measure_nonnegative_and_merge_idempotent(ps):
-    b = BandList.from_pairs(ps)
+    b = sorted_bands(ps)
     assert b.measure >= 0.0
     m = b.merged()
     assert m.merged().intervals == m.intervals
@@ -25,7 +31,7 @@ def test_measure_nonnegative_and_merge_idempotent(ps):
 @settings(max_examples=100)
 @given(pairs, st.floats(-12, 12))
 def test_distance_zero_iff_contained(ps, x):
-    b = BandList.from_pairs(ps)
+    b = sorted_bands(ps)
     if b.contains(x):
         assert b.distance(x) == 0.0
     else:
@@ -36,7 +42,7 @@ def test_distance_zero_iff_contained(ps, x):
 @given(pairs, st.lists(st.floats(-12, 12), max_size=6))
 def test_distance_of_an_array_is_the_distance_to_the_nearest_interval(ps, xs):
     # intervals may overlap here, so the reach of an earlier one can matter
-    b = BandList.from_pairs(ps)
+    b = sorted_bands(ps)
     want = [min((0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
                  for lo, hi in b.intervals), default=math.inf) for x in xs]
     assert b.distance(np.array(xs)).tolist() == want
@@ -46,16 +52,23 @@ def test_distance_of_an_array_is_the_distance_to_the_nearest_interval(ps, xs):
 @settings(max_examples=50)
 @given(pairs, st.floats(0, 1))
 def test_inflated_covers_original(ps, r):
-    b = BandList.from_pairs(ps).merged()
+    b = sorted_bands(ps).merged()
     assert b.inflated(r).covers(b)
 
 
 def test_sorting_and_merging():
-    b = BandList.from_pairs([(3.0, 4.0), (0.0, 1.0), (1.0, 2.0)])
+    b = sorted_bands([(3.0, 4.0), (0.0, 1.0), (1.0, 2.0)])
     assert b.intervals == ((0.0, 1.0), (1.0, 2.0), (3.0, 4.0))
     assert b.merged().intervals == ((0.0, 2.0), (3.0, 4.0))
     assert b.measure == pytest.approx(3.0)
-    assert BandList.from_pairs([]).measure == 0.0
+    assert sorted_bands([]).measure == 0.0
+
+
+@pytest.mark.parametrize("lo, hi", [([0.0, 2.0], [1.0, 1.5]), ([0.0], [-1e-300]),
+                                    ([np.nan], [1.0]), ([0.0], [np.nan])])
+def test_a_band_with_hi_below_lo_or_a_nan_end_is_rejected(lo, hi):
+    with pytest.raises(ValueError, match="inverted or NaN interval"):
+        BandList(lo, hi)
 
 
 # Per-interval loop versions of the operations, the oracles of the array
@@ -108,7 +121,7 @@ def band_sets(draw, near=(), max_size=8):
         else:
             lo = draw(st.floats(-10, 10))
         pairs.append((lo, lo + draw(st.just(0.0) | st.floats(0, 3))))
-    return BandList.from_pairs(pairs)
+    return sorted_bands(pairs)
 
 
 @st.composite
@@ -153,5 +166,5 @@ def test_ends_are_read_only_arrays_of_one_length():
     with pytest.raises(ValueError):
         b.lo[0] = 5.0
     with pytest.raises(ValueError):
-        BandList(((0.0, 1.0), (2.0, 3.0)))  # pairs belong in from_pairs
+        BandList(((0.0, 1.0), (2.0, 3.0)))  # pairs are not a lo array
     assert b.endpoints().tolist() == [0.0, 1.0, 2.0, 3.0]

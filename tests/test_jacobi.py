@@ -17,7 +17,6 @@ from hexspec.jacobi import (
     coeff_v,
     rational_spectrum,
     theta_spectrum,
-    transfer_D,
     transfer_D_product,
 )
 
@@ -76,9 +75,11 @@ def _random_reduced(rng, qmax):
 
 
 def test_transfer_D_entries():
+    # D(theta) = [[lam - v(theta), -conj(c(theta - alpha))], [c(theta), 0]],
+    # the product of one factor
     flux = Flux.rational(0, 1)
     lam, theta = 1.7, 0.23
-    D = transfer_D(lam, theta, flux)
+    D = transfer_D_product(lam, theta, flux, 1)
     assert np.trace(D) == pytest.approx(lam - 2 * math.cos(2 * math.pi * theta))
     det = np.linalg.det(D)
     expected = coeff_c(theta) * np.conj(coeff_c(theta - flux.alpha))
@@ -264,7 +265,7 @@ def test_transfer_D_product_is_ordered_product_of_transfer_D():
             lam, theta = float(rng.uniform(-6, 6)), float(rng.uniform(0, 1))
             expected = np.eye(2, dtype=complex)
             for j in range(9):
-                expected = transfer_D(lam, theta + j * flux.alpha, flux) @ expected
+                expected = transfer_D_product(lam, theta + j * flux.alpha, flux, 1) @ expected
             got = transfer_D_product(lam, theta, flux, 9)
             assert np.max(np.abs(got - expected)) <= 1e-12 * (
                 1.0 + np.max(np.abs(expected))
@@ -431,6 +432,25 @@ def test_rational_spectrum_rejects_a_denominator_below_one(p, q):
         rational_spectrum(p, q)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: theta_spectrum(1, 0, 0.3),
+    lambda: theta_spectrum(1, -3, 0.3),
+    lambda: theta_spectrum(2, 4, 0.3),  # the flux 1/2, whose spectrum has 2 bands
+    lambda: chambers_Gq(0.7, 1, 0),
+], ids=["theta_spectrum 1/0", "theta_spectrum 1/-3", "theta_spectrum 2/4", "chambers_Gq 1/0"])
+def test_a_flux_that_is_not_reduced_is_a_domain_error(solve):
+    with pytest.raises(DomainError):
+        solve()
+
+
+def test_no_sigma_band_is_inverted():
+    # the eigensolve puts hi of the bottom band an ulp below -3 at 18 of
+    # these fluxes, 1/73 among them; Sigma >= -3 exactly (M + 3 = B B^T)
+    for p, q in reduced_fractions(100):
+        sigma = rational_spectrum(p, q)
+        assert np.all(sigma.lo <= sigma.hi) and sigma.hi[0] >= -3.0, (p, q)
+
+
 def test_rational_spectrum_solves_each_flux_once_whatever_its_representative():
     # 5/3, -1/3 and 2/3 are one flux, and 1/3 its mirror
     sigma = rational_spectrum(1, 3)
@@ -447,11 +467,12 @@ def test_mirror_fluxes_share_sigma_bit_for_bit():
 
 
 def test_sigma_below_half_flux_is_the_unmirrored_solve():
-    # for p <= q/2 rational_spectrum is the banded solve at p itself, pinned
+    # for p <= q/2 rational_spectrum is the banded solve at p itself, its
+    # bottom band pinned to [-3, max(hi, -3)]
     for p, q in reduced_fractions(100):
         if 2 * p <= q:
             los, his = jacobi._banded_spectrum(p, q, _theta_stars(q))
-            los[0] = -3.0
+            los[0], his[0] = -3.0, max(his[0], -3.0)
             got = rational_spectrum(p, q)
             assert np.array_equal(got.lo, los) and np.array_equal(got.hi, his), (p, q)
 

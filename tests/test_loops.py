@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hexspec import loops
 from hexspec.errors import DomainError
-from hexspec.hill import dirichlet_eigenvalues, integrate_monodromy
+from hexspec.hill import DEFAULT_STEPS, _rk4_fundamental, dirichlet_eigenvalues
 from hexspec.loops import (
     build_TPhi,
     double_hexagon_loop,
@@ -126,16 +126,19 @@ def test_state_and_checks_integrate_once(monkeypatch):
     lam = dirichlet_eigenvalues(VM, 100.0)[1]
     calls = []
 
-    def counted(V, energy):
-        calls.append(energy)
-        return integrate_monodromy(V, energy)
+    def counted(V, energies, steps):
+        calls.append((list(energies), steps))
+        return _rk4_fundamental(V, energies, steps)
 
-    monkeypatch.setattr(loops, "integrate_monodromy", counted)
+    monkeypatch.setattr(loops, "_rk4_fundamental", counted)
     state = double_hexagon_state(0.0, lam, V=VM)
     reports = [verify_vertex_conditions(state, phi) for phi in (0.0, math.pi / 2, math.pi)]
-    # the state tests lambda by the Sturm count; each check integrates once
-    assert calls == [lam] * 3
-    assert all(r["s1p"] == integrate_monodromy(VM, lam).s1p for r in reports)
+    # the state tests lambda by the Sturm count on both sides of it; each
+    # check integrates once at lambda, all at the steps that define lambda
+    assert [steps for _, steps in calls] == [DEFAULT_STEPS] * 4
+    assert len(calls[0][0]) == 2 and [e for e, _ in calls[1:]] == [[lam]] * 3
+    s1p = _rk4_fundamental(VM, [lam], DEFAULT_STEPS)[3][0]
+    assert all(r["s1p"] == s1p for r in reports)
 
 
 def _coeffs_to_40_digits(phi):
@@ -168,3 +171,19 @@ def test_states_near_the_flux_lattice(phi):
             assert verify_vertex_conditions(st_, phi)["max_violation"] <= 1e-10
             a = np.array(st_.outer_coeffs)
             assert np.max(np.abs(a - exact)) <= 1e-8 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("gamma1", [1, 3])
+@pytest.mark.parametrize("eps", [1e-5, 1e-7])
+def test_odd_gamma_states_near_pi(gamma1, eps):
+    # for odd gamma_1 the coefficients grow like 1/|Phi - pi|; T a = y is
+    # solved to a backward error relative to them, and the check's
+    # violations scale with them, so its bound is that of the other states,
+    # 1e-10, relative to max |a|
+    phi = math.pi + eps
+    for V in (V0, VM):
+        lam = dirichlet_eigenvalues(V, 100.0)[0]
+        st_ = double_hexagon_state(phi, lam, gamma1=gamma1, V=V)
+        size = np.max(np.abs(st_.outer_coeffs))
+        assert size >= 0.5 / eps
+        assert verify_vertex_conditions(st_, phi)["max_violation"] <= 1e-10 * size
