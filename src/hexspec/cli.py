@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
 
 import numpy as np
 
@@ -25,9 +24,9 @@ from .hill import bands_window, dirichlet_eigenvalues
 from .loops import double_hexagon_state, verify_vertex_conditions
 from .potentials import parse_potential
 
-# butterfly rows formatted per write, CSV and SVG: a chunk's row tuples and
-# strings peak at about 250 bytes per row, 4 MB here
-_CSV_CHUNK = 16384
+# butterfly rows per SVG write: a chunk's coordinate list and its string peak
+# at about 250 bytes per row, 4 MB here
+_SVG_CHUNK = 16384
 
 
 def _fmt(x: float) -> str:
@@ -73,11 +72,24 @@ def _cmd_bands(args) -> int:
 
 
 def _butterfly_csv(ds: ButterflyDataset) -> Iterator[str]:
+    """The rows as CSV, one string per column, a run of equal (p, q, hill_band).
+    A column's lo,hi text is formatted once per q and bits of its ends, so a
+    mirror column, equal bit for bit, reuses it and any other gets its own."""
     yield "p,q,hill_band,lo,hi\n"
-    for i in range(0, len(ds.rows), _CSV_CHUNK):
-        chunk = ds.rows[i:i + _CSV_CHUNK].tolist()
-        # %.15g prints the same digits as _fmt; one format for all rows
-        yield "%d,%d,%d,%.15g,%.15g\n" * len(chunk) % tuple(chain.from_iterable(chunk))
+    p, q, k, lo, hi = ds.rows.p, ds.rows.q, ds.rows.hill_band, ds.rows.lo, ds.rows.hi
+    cut = (p[1:] != p[:-1]) | (q[1:] != q[:-1]) | (k[1:] != k[:-1])
+    starts = np.flatnonzero(np.concatenate(([len(p) > 0], cut)))
+    texts, q_prev = {}, None  # one q's texts at a time: mirror columns share q
+    for a, b, pa, qa, ka in zip(starts.tolist(), [*starts[1:].tolist(), len(p)],
+                                p[starts].tolist(), q[starts].tolist(), k[starts].tolist()):
+        if qa != q_prev:
+            texts, q_prev = {}, qa
+        ends = np.stack((lo[a:b], hi[a:b]), axis=1)
+        body = texts.get(key := ends.tobytes())
+        if body is None:  # %.15g prints the same digits as _fmt; one format per column
+            body = texts[key] = "%.15g,%.15g\n" * (b - a) % tuple(ends.ravel().tolist())
+        prefix = "%d,%d,%d," % (pa, qa, ka)
+        yield prefix + body[:-1].replace("\n", "\n" + prefix) + "\n"
 
 
 def _butterfly_svg(ds: ButterflyDataset) -> Iterator[str]:
@@ -97,8 +109,8 @@ def _butterfly_svg(ds: ButterflyDataset) -> Iterator[str]:
            'text-anchor="middle">flux quantum p/q</text>\n'
            f'<text x="16" y="{height / 2:.0f}" font-size="14" text-anchor="middle" '
            f'transform="rotate(-90 16 {height / 2:.0f})">energy</text>\n')
-    for i in range(0, len(ds.rows), _CSV_CHUNK):
-        rows = ds.rows[i:i + _CSV_CHUNK]
+    for i in range(0, len(ds.rows), _SVG_CHUNK):
+        rows = ds.rows[i:i + _SVG_CHUNK]
         x = X(rows.p / rows.q)
         coords = np.column_stack((x, Y(rows.lo), x, Y(rows.hi))).ravel().tolist()
         # %.2f prints what {:.2f} prints; one format per chunk

@@ -68,7 +68,8 @@ class Flux:
 
     @classmethod
     def rational(cls, p: int, q: int) -> "Flux":
-        g = math.gcd(p, q) or 1  # gcd(0, 0) = 0; q = 0 is rejected below
+        # lowest terms with q > 0; p/0 stays as given, for check_reduced's error
+        g = math.gcd(p, q) * (1 if q > 0 else -1) if q else 1
         return cls(p=p // g, q=q // g)
 
     @classmethod
@@ -125,9 +126,10 @@ def parse_flux(text: str) -> Flux:
     if "/" in text:
         num, _, den = text.partition("/")
         try:
-            return Flux.rational(int(num), int(den))
+            p, q = int(num), int(den)
         except ValueError as exc:
             raise DomainError(f"bad rational flux {text!r}") from exc
+        return Flux.rational(p, q)
     try:
         value = Fraction(text) % 1  # exactly: 2.3 - 2 is 0.2999999999999998
     except ValueError as exc:

@@ -74,7 +74,7 @@ def _graph(inverters, fracs: list[tuple[int, int]]):
     # the j-th end of flux f is end src of w, which holds the ends pair by pair
     src = (np.cumsum(counts) - counts)[pair][flux] + j
     n = len(inverters)
-    rows = np.recarray(n * len(flux), formats="i8,i8,i8,f8,f8", names="p,q,hill_band,lo,hi")
+    rows = np.recarray(n * len(flux), formats="i4,i4,i2,f8,f8", names="p,q,hill_band,lo,hi")
     rows.p, rows.q = np.repeat(np.reshape(fracs, (-1, 2)), n * fcounts, axis=0).T
     # flux f's rows are n runs of fcounts[f], one per band, from n * fstart[f]
     run = n * fstart[flux] + j

@@ -166,16 +166,45 @@ def test_butterfly_csv_matches_row_format():
 
 
 def test_streamed_writers_match_one_shot_across_chunks(monkeypatch):
-    monkeypatch.setattr("hexspec.cli._CSV_CHUNK", 7)
+    monkeypatch.setattr("hexspec.cli._SVG_CHUNK", 7)
     ds = butterfly(parse_potential("zero"), 12, 2)
     rows = ds.rows.tolist()
     assert len(rows) > 100 * 7
     csv = list(_butterfly_csv(ds))
-    assert len(csv) == 1 + -(-len(rows) // 7)  # the header, then one string per chunk
+    columns = {(p, q, k) for p, q, k, _lo, _hi in rows}
+    assert len(csv) == 1 + len(columns)  # the header, then one string per column
     assert "".join(csv) == _one_string_csv(rows)
     svg = list(_butterfly_svg(ds))
     assert len(svg) > -(-len(rows) // 7)  # the header, one string per chunk, the rest
     assert "".join(svg) == _per_row_svg(rows, ds.dirichlet_lines)
+
+
+def _dataset(rows):
+    recs = np.rec.fromrecords(rows, formats="i4,i4,i2,f8,f8", names="p,q,hill_band,lo,hi")
+    return ButterflyDataset(recs, (), "zero", 3, 2, (), ())
+
+
+# one ulp apart, and the last of 15 digits tells them apart
+_X, _X_UP = 1.234567890123455, math.nextafter(1.234567890123455, 2.0)
+
+
+@pytest.mark.parametrize("ends, mirror_ends", [
+    ([(-3.0, -2.5), (0.25, _X)], [(-3.0, -2.5), (0.25, _X)]),
+    ([(-3.0, -2.5), (0.25, _X)], [(-3.0, -2.5), (0.25, _X_UP)]),
+    ([(-3.0, -2.5), (0.0, 0.0)], [(-3.0, -2.5), (-0.0, 0.0)]),
+], ids=["equal bits", "one ulp", "signed zero"])
+def test_csv_formats_each_column_from_its_own_bits(ends, mirror_ends):
+    # a writer that copied the text of (1, 3, k) to its mirror (2, 3, k)
+    # would print wrong digits in the last two cases
+    assert "%.15g" % _X != "%.15g" % _X_UP
+    rows = [(0, 1, 1, -3.0, 6.0), (1, 2, 1, -3.0, 0.0),  # q = 1, 2: their own mirrors
+            *[(1, 3, k, lo, hi) for k in (1, 2) for lo, hi in ends],
+            *[(2, 3, k, lo, hi) for k in (1, 2) for lo, hi in mirror_ends]]
+    assert "".join(_butterfly_csv(_dataset(rows))) == _one_string_csv(rows)
+
+
+def test_csv_of_no_rows_is_the_header():
+    assert "".join(_butterfly_csv(_dataset([]))) == "p,q,hill_band,lo,hi\n" == _one_string_csv([])
 
 
 def test_butterfly_rejects_stdout_output(tmp_path, monkeypatch, capsys):

@@ -119,6 +119,18 @@ def test_decimal_flux_is_reduced_exactly():
     assert est.converged and est.n_used == 10
 
 
+@pytest.mark.parametrize("text,p,q", [("-1/-2", 1, 2), ("1/-3", -1, 3), ("2/-4", -1, 2)])
+def test_parse_flux_gives_a_positive_denominator(text, p, q):
+    flux = parse_flux(text)
+    assert (flux.p, flux.q) == (p, q)
+
+
+def test_parse_flux_names_a_zero_denominator():
+    # the DomainError of the reduced-flux check reaches the user as it is
+    with pytest.raises(DomainError, match="3/0 needs a positive denominator"):
+        parse_flux("3/0")
+
+
 def test_complexified_le_matches_at_zero():
     cfg = CocycleConfig(flux=GOLD)
     assert complexified_le(1.0, GOLD, 0.0, cfg).value == pytest.approx(
