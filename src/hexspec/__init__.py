@@ -10,7 +10,7 @@ from .hill import (
     HillBand,
     MonodromySolution,
     dirichlet_eigenvalues,
-    discriminant,
+    discriminant_batch,
     hill_bands,
     integrate_monodromy,
     invert_discriminant_on_band,

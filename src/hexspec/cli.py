@@ -45,8 +45,6 @@ def _write_text(path: str | None, chunks: Iterable[str]) -> None:
 def _cmd_bands(args) -> int:
     V = parse_potential(args.potential)
     flux = parse_flux(args.flux)
-    if not flux.is_rational:
-        raise DomainError("bands needs a rational flux p/q")
     specs = graph_spectrum(V, flux, args.hill_bands)
     all_bands = [list(iv) for s in specs for iv in s.continuous_bands.intervals]
     payload = {

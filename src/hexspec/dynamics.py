@@ -93,22 +93,16 @@ def lyapunov(lam: float, config: CocycleConfig) -> LyapunovEstimate:
     return complexified_le(lam, config.flux, 0.0, config)
 
 
-def acceleration(
-    lam: float,
-    flux: Flux,
-    epsilon: float,
-    h: float = 0.05,
-    config: CocycleConfig | None = None,
-) -> float:
-    """Difference quotient of the complexified exponent in epsilon, in units
-    of 2 pi; quantized at integers away from epsilon = 0."""
+def acceleration(lam: float, flux: Flux, epsilon: float) -> float:
+    """Difference quotient of the complexified exponent in epsilon over a
+    step of 0.05, each exponent to a Cauchy tolerance of 1e-3, in units of
+    2 pi; quantized at integers away from epsilon = 0."""
     if epsilon == 0.0:
         raise DomainError("acceleration needs epsilon != 0")
-    if config is None:
-        config = CocycleConfig(flux=flux, tolerance=1e-3)
+    config = CocycleConfig(flux=flux, tolerance=1e-3)
     # one-sided quotient pointing away from 0, so the stencil does not
     # straddle a kink of the piecewise-linear exponent
-    step = h if epsilon > 0 else -h
+    step = 0.05 if epsilon > 0 else -0.05
     l0 = complexified_le(lam, flux, epsilon, config).value
     l1 = complexified_le(lam, flux, epsilon + step, config).value
     return (l1 - l0) / (2.0 * math.pi * step)

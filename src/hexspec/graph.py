@@ -99,13 +99,14 @@ def _hill_side(V: PotentialSpec, n_bands: int):
     """Flux-independent Hill data: bands, one batched inverter per band, the
     Dirichlet eigenvalues up to the last band edge plus one, and per band its
     Dirichlet edges and Dirac point.  The bands and the Dirichlet eigenvalues
-    share one window, so one counting pass."""
+    share one window, so one counting pass, whose floats the band edges are:
+    an edge is a Dirichlet point when it is in the Dirichlet tuple, however
+    narrow its band, and at a closed gap both bands keep it."""
     bands = tuple(hill_bands_first_n(V, n_bands))
     inverters = tuple(BandInverter(V, b) for b in bands)
     dirs = dirichlet_eigenvalues(V, bands_window(V, n_bands))
     dir_all = tuple(d for d in dirs if d < bands[-1].beta + 1.0)
-    dir_edges = tuple(tuple(e for e in (b.alpha, b.beta)
-                            if any(abs(d - e) < 1e-6 for d in dir_all)) for b in bands)
+    dir_edges = tuple(tuple(e for e in (b.alpha, b.beta) if e in dir_all) for b in bands)
     diracs = tuple(float(inv(0.0)[0]) for inv in inverters)
     return bands, inverters, dir_all, dir_edges, diracs
 

@@ -172,33 +172,25 @@ def _rk4_fundamental(V: PotentialSpec, lams: np.ndarray, steps: int):
     return out
 
 
-def integrate_monodromy(
-    V: PotentialSpec, lam, steps: int = DEFAULT_STEPS
-) -> MonodromySolution:
-    """Monodromy data at one energy or an array of them, all from one run at
-    2*steps, with the step-doubling error against a run at steps."""
-    if steps < 64:
-        raise DomainError("steps must be >= 64")
+def integrate_monodromy(V: PotentialSpec, lam) -> MonodromySolution:
+    """Monodromy data at one energy or an array of them, all from the run at
+    DEFAULT_STEPS that every Hill answer uses, with the step-doubling error
+    against a run at 2 * DEFAULT_STEPS as its error bar."""
     lams = np.asarray(lam, dtype=float)
-    c1, c1p, s1, s1p = _rk4_fundamental(V, lams, 2 * steps)[:4]
-    coarse = discriminant_batch(V, lams, steps)
-    fields = (lams, c1, c1p, s1, s1p, s1p, np.abs(coarse - s1p))
+    c1, c1p, s1, s1p = _rk4_fundamental(V, lams, DEFAULT_STEPS)[:4]
+    fine = discriminant_batch(V, lams, 2 * DEFAULT_STEPS)
+    fields = (lams, c1, c1p, s1, s1p, s1p, np.abs(s1p - fine))
     if lams.ndim == 0:
         fields = tuple(x.item() for x in fields)
     return MonodromySolution(*fields)
 
 
-def discriminant(V: PotentialSpec, lam, steps: int = DEFAULT_STEPS):
-    """The checking Delta, integrated at 2*steps (integrate_monodromy's
-    delta): a float at one energy, an array at an array of them."""
-    delta = discriminant_batch(V, lam, 2 * steps)
-    return float(delta) if delta.ndim == 0 else delta
-
-
 def discriminant_batch(
     V: PotentialSpec, lams, steps: int = DEFAULT_STEPS
 ) -> np.ndarray:
-    """Delta at many energies in one vectorized integration (no step doubling)."""
+    """Delta at one energy or an array of them, of their shape, from one
+    vectorized run; at DEFAULT_STEPS it is the Delta that bisects the band
+    edges, builds the inverter's model and fills integrate_monodromy."""
     return _rk4_fundamental(V, np.asarray(lams, dtype=float), steps)[3]
 
 
@@ -292,13 +284,11 @@ def bands_window(V: PotentialSpec, n_bands: int) -> float:
     return n_bands**2 * np.pi**2 + V.max_value + 1.0
 
 
-def hill_bands_first_n(
-    V: PotentialSpec, n_bands: int, steps: int = DEFAULT_STEPS
-) -> list[HillBand]:
+def hill_bands_first_n(V: PotentialSpec, n_bands: int) -> list[HillBand]:
     """First n Hill bands, from one pass up to bands_window(V, n_bands)."""
     if n_bands < 1:
         raise DomainError(f"the number of Hill bands must be >= 1, got {n_bands}")
-    return hill_bands(V, bands_window(V, n_bands), steps)[:n_bands]
+    return hill_bands(V, bands_window(V, n_bands))[:n_bands]
 
 
 def dirichlet_eigenvalues(
@@ -309,18 +299,16 @@ def dirichlet_eigenvalues(
     return list(_eigenvalues(V, float(lambda_max), steps)[1])
 
 
-def invert_discriminant_on_band(
-    V: PotentialSpec, band: HillBand, w, steps: int = DEFAULT_STEPS
-):
+def invert_discriminant_on_band(V: PotentialSpec, band: HillBand, w):
     """The unique lambda in the band with Delta(lambda) = w, |w| <= 1: a
     float for one target, an array of its shape for an array of targets."""
     w = np.asarray(w, dtype=float)
     if not np.all((-1.0 <= w) & (w <= 1.0)):
         raise DomainError(f"discriminant target {w} outside [-1, 1]")
     targets = w.ravel()
-    fa, fb = discriminant_batch(V, [band.alpha, band.beta], steps)[:, None] - targets
+    fa, fb = discriminant_batch(V, [band.alpha, band.beta])[:, None] - targets
     increasing = band.monotonicity == "increasing"
-    lam = _bisect_many(lambda lams: discriminant_batch(V, lams, steps) - targets,
+    lam = _bisect_many(lambda lams: discriminant_batch(V, lams) - targets,
                        np.full(w.size, band.alpha), np.full(w.size, band.beta),
                        increasing, xtol=1e-13)
     # w at (or numerically beyond) an edge value
@@ -397,7 +385,10 @@ class BandInverter:
         cell = np.clip(np.searchsorted(self._k, k, side="right") - 1, 0, _TABLE_CELLS - 1)
         lo, hi = self._table[cell], self._table[cell + 1]
         k0, k1 = self._k[cell], self._k[cell + 1]
-        lam = lo + np.clip((k - k0) / (k1 - k0), 0.0, 1.0) * (hi - lo)
+        # on a band a few ulp wide, table nodes repeat and a cell is flat
+        # (k1 = k0): it seeds its low end
+        lam = lo + np.clip(np.divide(k - k0, k1 - k0, out=np.zeros_like(k), where=k1 != k0),
+                           0.0, 1.0) * (hi - lo)
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_NEWTON_STEPS):
                 f = self.delta(lam) - w

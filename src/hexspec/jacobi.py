@@ -9,12 +9,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError
 from .flux import Flux, check_reduced, mirror_numerator
 from .intervals import BandList
-
-#: tolerance for the theta in 1/2 + (1/q)Z membership test of build_Mq
-THETA_LATTICE_TOL = 1e-12
 
 
 def coeff_c(theta) -> complex:
@@ -92,17 +89,14 @@ def chambers_Gq(lam, p: int, q: int, theta0: float | None = None):
     return np.real(g)
 
 
-def build_Mq(theta: float, p: int, q: int) -> np.ndarray:
-    """Decoupled q x q block at theta in 1/2 + (1/q)Z, real symmetric.
+def build_Mq(p: int, q: int) -> np.ndarray:
+    """Decoupled q x q block M_q, real symmetric.
 
-    Satisfies det(lam*I - M_q(theta)) = tr(D_q(theta)).  Every theta in the
-    lattice gives the same block: the restriction of the infinite matrix
-    between two vanishing couplings, i.e. the Bloch block at theta = 1/2,
-    where c(1/2) = 0 removes the corner.
+    Satisfies det(lam*I - M_q) = tr(D_q(theta)) at every theta in
+    1/2 + (1/q)Z.  Every such theta gives the same block: the restriction of
+    the infinite matrix between two vanishing couplings, i.e. the Bloch
+    block at theta = 1/2, where c(1/2) = 0 removes the corner.
     """
-    x = (theta - 0.5) * q
-    if abs(x - round(x)) > THETA_LATTICE_TOL * q:
-        raise DomainError(f"theta={theta} not in 1/2 + (1/{q})Z")
     return _bloch_blocks(p, q, [0.5], [0.0])[0]
 
 

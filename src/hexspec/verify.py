@@ -12,7 +12,7 @@ import numpy as np
 from . import hill, jacobi
 from .dynamics import irrational_cover, holder_probe
 from .flux import Flux, GOLDEN_MEAN, golden_flux, reduced_fractions
-from .hill import (DEFAULT_STEPS, dirichlet_eigenvalues, discriminant, hill_bands,
+from .hill import (DEFAULT_STEPS, dirichlet_eigenvalues, discriminant_batch, hill_bands,
                    integrate_monodromy)
 from .loops import double_hexagon_loop, hexagon_loop, rank_TPhi
 from .potentials import parse_potential
@@ -111,8 +111,8 @@ def _check_step_doubling():
 
 def _check_band_dirichlet():
     """Delta is 1 at alpha_1 and (-1)^k at beta_k, alpha_(k+1) and the k-th
-    Dirichlet eigenvalue, which all bound gap k; checked through the
-    independent step-doubled discriminant, so a wrong, missing or extra
+    Dirichlet eigenvalue, which all bound gap k; checked through Delta of
+    the run whose counts bisected them, so a wrong, missing or extra
     eigenvalue breaks the values or the sign pattern."""
     worst = 0.0
     for spec, lmax in (("zero", 250.0), ("mathieu:20", 200.0)):
@@ -121,7 +121,7 @@ def _check_band_dirichlet():
         dirs = dirichlet_eigenvalues(V, lmax)
         want = [(-1.0) ** ((j + 1) // 2) for j in range(len(edges))]
         want += [(-1.0) ** k for k in range(1, len(dirs) + 1)]
-        delta = discriminant(V, edges + dirs)
+        delta = discriminant_batch(V, edges + dirs)
         worst = max(worst, float(np.max(np.abs(delta - want))))
     return worst <= 1e-8, f"max |Delta - (-1)^k| at band edges and Dirichlet points {worst:.2e}"
 
@@ -136,7 +136,7 @@ def _check_det_tr():
             p = int(rng.integers(0, q))
         theta = 0.5 + int(rng.integers(0, q)) / q
         lam = float(rng.uniform(-8, 8))
-        det = np.linalg.det(lam * np.eye(q) - jacobi.build_Mq(theta, p, q))
+        det = np.linalg.det(lam * np.eye(q) - jacobi.build_Mq(p, q))
         tr = jacobi._trace_Dq(np.array([lam]), theta, p, q)[0]
         worst = max(worst, abs(det - tr) / (1.0 + abs(tr)))
     return worst <= 1e-8, f"max relative det-tr deviation {worst:.2e}"

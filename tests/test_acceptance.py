@@ -130,7 +130,7 @@ def test_criterion_5_det_tr_and_chambers():
                 p = int(rng.integers(0, q))
             theta = 0.5 + int(rng.integers(0, q)) / q
             lam = float(rng.uniform(-8, 8))
-            det = np.linalg.det(lam * np.eye(q) - build_Mq(theta, p, q))
+            det = np.linalg.det(lam * np.eye(q) - build_Mq(p, q))
             tr = _trace_Dq(np.array([lam]), theta, p, q)[0]
             worst_det = max(worst_det, abs(det - tr) / (1.0 + abs(tr)))
             g1 = chambers_Gq(lam, p, q)

@@ -62,6 +62,7 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
     ["butterfly", "--qmax", "3", "--hill-bands", "1", "--potential", "mathieu:1800"],
     ["bands", "--flux", "1/3", "--potential", "mathieu:nan"],
     ["bands", "--flux", "1/3", "--potential", "mathieu:inf"],
+    ["bands", "--flux", "golden"],
 ])
 def test_bad_inputs_exit_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] == "butterfly":

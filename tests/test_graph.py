@@ -9,7 +9,7 @@ from hexspec import graph, hill
 from hexspec.errors import DomainError
 from hexspec.flux import Flux, reduced_fractions
 from hexspec.graph import butterfly, dirac_points, graph_spectrum
-from hexspec.hill import discriminant
+from hexspec.hill import discriminant_batch
 from hexspec.intervals import BandList
 from hexspec.jacobi import rational_spectrum
 from hexspec.potentials import parse_potential
@@ -69,12 +69,24 @@ def test_dirac_points_zero_potential():
     pts = dirac_points(V0, 3)
     for k, lam in enumerate(pts, start=1):
         assert lam == pytest.approx(((2 * k - 1) * math.pi / 2) ** 2, abs=1e-7)
-        assert abs(discriminant(V0, lam)) <= 1e-10
+        assert abs(discriminant_batch(V0, lam)) <= 1e-10
 
 
 def test_dirac_points_mathieu_residual():
     for lam in dirac_points(VM, 2):
-        assert abs(discriminant(VM, lam)) <= 1e-10
+        assert abs(discriminant_batch(VM, lam)) <= 1e-10
+
+
+def test_dirichlet_points_are_the_dirichlet_edges():
+    # bands 1 and 2 of mathieu:1000 are 2.0e-9 and 2.1e-7 wide, so both of
+    # their edges lie within 1e-6 of a Dirichlet eigenvalue; only one is one.
+    # At the closed gaps of V = 0 both neighbouring bands keep the point
+    V = parse_potential("mathieu:1000")
+    dirs = hill.dirichlet_eigenvalues(V, hill.bands_window(V, 2))
+    for g in graph_spectrum(V, Flux.rational(1, 3), 2):
+        assert len(g.dirichlet_points) == 1 and g.dirichlet_points[0] in dirs
+    band2 = graph_spectrum(V0, Flux.rational(1, 3), 2)[1]
+    assert band2.dirichlet_points == (band2.hill_band.alpha, band2.hill_band.beta)
 
 
 def test_dirac_point_in_spectrum_for_sampled_fluxes():
@@ -90,7 +102,7 @@ def test_local_symmetry_check():
     # bands in one Hill band is too, up to the inverter's residual
     for V, (p, q), k in ((V0, (1, 2), 1), (V0, (0, 1), 1), (VM, (2, 5), 2)):
         spec = graph_spectrum(V, Flux.rational(p, q), k)[k - 1]
-        ws = np.sort(discriminant(V, spec.continuous_bands.endpoints()))
+        ws = np.sort(discriminant_batch(V, spec.continuous_bands.endpoints()))
         assert ws.size == 2 * len(spec.continuous_bands) > 0
         assert np.max(np.abs(ws + ws[::-1])) <= 1e-10, (p, q, k)
 

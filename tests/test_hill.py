@@ -1,25 +1,28 @@
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hexspec import hill
+from hexspec import graph, hill, loops, verify
 from hexspec.errors import DomainError
+from hexspec.flux import Flux, reduced_fractions
 from hexspec.hill import (
     DEFAULT_STEPS,
     BandInverter,
     _bisect_many,
     dirichlet_eigenvalues,
-    discriminant,
     discriminant_batch,
     hill_bands,
     hill_bands_first_n,
     integrate_monodromy,
     invert_discriminant_on_band,
 )
+from hexspec.jacobi import rational_spectrum
 from hexspec.potentials import PotentialSpec, parse_potential
+from hexspec.qlambda import q_spectrum
 from hexspec.verify import _full_interval, _rk4_steps
 
 V0 = parse_potential("zero")
@@ -70,11 +73,6 @@ def test_monodromy_mathieu_wronskian_and_symmetry():
     assert sol.step_error <= 1e-9
 
 
-def test_monodromy_rejects_too_few_steps():
-    with pytest.raises(DomainError):
-        integrate_monodromy(V0, 1.0, steps=32)
-
-
 @settings(max_examples=5, deadline=None)
 @given(lams=st.lists(st.floats(-5.0, 120.0), min_size=1, max_size=30))
 def test_wronskian_property(lams):
@@ -96,22 +94,22 @@ def test_monodromy_fields_come_from_one_run():
     # the Wronskian read the step error (~1.5e-12)
     lams = np.linspace(-5.0, 100.0, 100)
     sol = integrate_monodromy(VM, lams)
-    c1, c1p, s1, s1p = hill._rk4_fundamental(VM, lams, 2 * DEFAULT_STEPS)[:4]
+    c1, c1p, s1, s1p = hill._rk4_fundamental(VM, lams, DEFAULT_STEPS)[:4]
     pairs = ((sol.c1, c1), (sol.c1p, c1p), (sol.s1, s1), (sol.s1p, s1p), (sol.delta, s1p))
     assert all(np.array_equal(got, want) for got, want in pairs)
-    coarse = discriminant_batch(VM, lams)
-    assert np.array_equal(sol.step_error, np.abs(coarse - sol.delta))
+    fine = discriminant_batch(VM, lams, 2 * DEFAULT_STEPS)
+    assert np.array_equal(sol.step_error, np.abs(sol.delta - fine))
     assert np.max(np.abs(sol.wronskian - 1.0)) <= 1e-13
 
 
 def test_discriminant_is_one_integration(rk4_calls):
-    assert discriminant(VM, 10.0) == integrate_monodromy(VM, 10.0).delta
-    assert type(discriminant(VM, 10.0)) is float
+    # the Delta every Hill answer uses is integrate_monodromy's, bit for bit
+    assert discriminant_batch(VM, 10.0) == integrate_monodromy(VM, 10.0).delta
     lams = np.array([1.0, 10.0])
-    assert np.array_equal(discriminant(VM, lams), integrate_monodromy(VM, lams).delta)
+    assert np.array_equal(discriminant_batch(VM, lams), integrate_monodromy(VM, lams).delta)
     rk4_calls.clear()
-    discriminant(VM, 10.0)
-    discriminant(VM, lams)
+    discriminant_batch(VM, 10.0)
+    discriminant_batch(VM, lams)
     assert rk4_calls == [1, 2]
 
 
@@ -120,6 +118,32 @@ def test_steps_must_split_at_half(steps):
     # the run stops at t = 1/2, so steps must be even; 0 divided by zero
     with pytest.raises(DomainError):
         discriminant_batch(V0, 10.0, steps)
+
+
+def test_every_hill_answer_runs_at_default_steps(monkeypatch):
+    # one discretisation: the bands, the inverters, the Dirac points, the
+    # loop states and verify's band check all integrate at DEFAULT_STEPS;
+    # only integrate_monodromy's step_error runs at twice that
+    steps = []
+    kernel = hill._rk4_loop
+
+    def recorded(Vn, lams, n):
+        steps.append(n)
+        return kernel(Vn, lams, n)
+
+    monkeypatch.setattr(hill, "_rk4_loop", recorded)
+    hill._eigenvalues.cache_clear()
+    graph._hill_side.cache_clear()
+    hill_bands_first_n(VM, 2)
+    graph.graph_spectrum(VM, Flux.rational(1, 3), 2)
+    graph.butterfly(V0, 3, 2)
+    state = loops.double_hexagon_state(1.0, dirichlet_eigenvalues(VM, 100.0)[0], V=VM)
+    loops.verify_vertex_conditions(state, 1.0)
+    assert verify._check_band_dirichlet()[0]
+    assert len(steps) > 10 and set(steps) == {DEFAULT_STEPS}
+    steps.clear()
+    integrate_monodromy(VM, [1.0, 10.0])
+    assert sorted(steps) == [DEFAULT_STEPS, 2 * DEFAULT_STEPS]
 
 
 def test_kernel_integrates_half_the_interval(rk4_calls, monkeypatch):
@@ -135,7 +159,7 @@ def test_kernel_integrates_half_the_interval(rk4_calls, monkeypatch):
     integrate_monodromy(VM, 10.0)
     assert rk4_calls == [2, 1, 1]
     # V at the starts and midpoints of the steps on [0, 1/2]
-    assert nodes == [DEFAULT_STEPS + 1, 2 * DEFAULT_STEPS + 1, DEFAULT_STEPS + 1]
+    assert nodes == [DEFAULT_STEPS + 1, DEFAULT_STEPS + 1, 2 * DEFAULT_STEPS + 1]
 
 
 def test_discriminant_batch_keeps_the_shape_of_a_scalar():
@@ -144,8 +168,8 @@ def test_discriminant_batch_keeps_the_shape_of_a_scalar():
 
 
 def test_discriminant_zero_potential_values():
-    assert discriminant(V0, 4 * math.pi ** 2) == pytest.approx(1.0, abs=1e-9)
-    assert discriminant(V0, (math.pi / 2) ** 2) == pytest.approx(0.0, abs=1e-10)
+    assert discriminant_batch(V0, 4 * math.pi ** 2) == pytest.approx(1.0, abs=1e-9)
+    assert discriminant_batch(V0, (math.pi / 2) ** 2) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_hill_bands_zero_potential(rk4_calls):
@@ -450,6 +474,23 @@ def test_band_inverter_is_independent_of_batch():
         lams = inv(ws)
         assert [inv(w)[0] for w in ws] == lams.tolist()
         assert inv(ws[::-1]).tolist() == lams[::-1].tolist()
+
+
+@pytest.mark.parametrize("A", [1400, 1500, 1600, 1700])
+def test_band_inverter_seeds_from_flat_cells(A):
+    # band 1 is 16 to 1 bisection cells wide, so neighbouring nodes of the
+    # seed table are the same float and many of its cells are flat
+    V = parse_potential(f"mathieu:{A}")
+    band = hill_bands_first_n(V, 1)[0]
+    with warnings.catch_warnings():  # the model's fit is ill-conditioned here
+        warnings.simplefilter("ignore", np.exceptions.RankWarning)
+        inv = BandInverter(V, band)
+    ws = np.concatenate([q_spectrum(rational_spectrum(p, q)).bands.endpoints()
+                         for p, q in reduced_fractions(20)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lams = inv(ws)
+    assert np.all((band.alpha <= lams) & (lams <= band.beta))
 
 
 def test_band_inverter_chunks_leave_every_bit(monkeypatch):

@@ -111,20 +111,14 @@ def test_chambers_theta_independence():
 
 
 def test_build_Mq_q1():
-    assert build_Mq(0.5, 0, 1)[0, 0] == pytest.approx(-2.0)
-
-
-def test_build_Mq_rejects_off_lattice_theta():
-    with pytest.raises(DomainError):
-        build_Mq(0.31, 1, 3)
+    assert build_Mq(0, 1)[0, 0] == pytest.approx(-2.0)
 
 
 def test_build_Mq_hermitian_real_eigenvalues():
     rng = np.random.default_rng(5)
     for _ in range(10):
         p, q = _random_reduced(rng, 12)
-        theta = 0.5 + int(rng.integers(0, q)) / q
-        M = build_Mq(theta, p, q)
+        M = build_Mq(p, q)
         assert np.max(np.abs(M - M.conj().T)) < 1e-14
         assert np.max(np.abs(np.linalg.eigvals(M).imag)) < 1e-10
 
@@ -135,7 +129,7 @@ def test_det_equals_trace():
         p, q = _random_reduced(rng, 30)
         theta = 0.5 + int(rng.integers(0, q)) / q
         lam = float(rng.uniform(-8, 8))
-        det = np.linalg.det(lam * np.eye(q) - build_Mq(theta, p, q))
+        det = np.linalg.det(lam * np.eye(q) - build_Mq(p, q))
         tr = _trace_Dq(np.array([lam]), theta, p, q)[0]
         assert abs(det - tr) <= 1e-8 * (1.0 + abs(tr))
 
@@ -342,11 +336,12 @@ def test_stacked_blocks_match_per_entry_construction():
                 M = _bloch_block(theta, nu, p, q)
                 assert M.dtype == complex
                 assert np.max(np.abs(M - _per_entry_block(theta, nu, p, q))) <= 1e-14
-        # build_Mq at every lattice angle is the block at theta = 1/2, whose
-        # corner c(1/2) = 0 vanishes whatever nu
-        want = np.linalg.eigvalsh(_per_entry_block(0.5, 0.3, p, q))
+        # build_Mq is the block at theta = 1/2, whose corner c(1/2) = 0
+        # vanishes whatever nu; at every lattice angle the block has its
+        # eigenvalues, one coupling vanishing there
+        got = np.linalg.eigvalsh(build_Mq(p, q))
         for k in range(q):
-            got = np.linalg.eigvalsh(build_Mq(0.5 + k / q, p, q))
+            want = np.linalg.eigvalsh(_per_entry_block(0.5 + k / q, 0.3, p, q))
             assert np.max(np.abs(got - want)) <= 1e-12
         ends = [_per_entry_endpoints(p, q, th) for th in stars]
         lo = np.minimum(ends[0][0], ends[1][0])
