@@ -14,9 +14,9 @@ import argparse
 import math
 import sys
 
-from hexspec.dynamics import holder_radius, holder_ratio
+from hexspec.dynamics import fitted_holder_constant, irrational_cover
 from hexspec.errors import DomainError
-from hexspec.flux import Flux, parse_flux
+from hexspec.flux import parse_flux
 from hexspec.jacobi import rational_spectrum
 
 
@@ -43,32 +43,24 @@ def main() -> int:
         # C2 is fitted on the pairs of consecutive convergents from index 2 on
         ap.error(f"fitting C2 needs 4 convergents, and --alpha {args.alpha} "
                  f"--levels {args.levels} gives {len(conv)}: raise --levels or give --c2")
-    # each Sigma_{p_n/q_n} is solved once; holder_ratio and holder_radius are
-    # the formulas of holder_probe and irrational_cover, applied to these
-    sigmas = [rational_spectrum(p, q) for p, q in conv]
 
     c2 = args.c2
     if c2 is None:
-        ratios = [
-            holder_ratio(s1, s2, Flux.rational(*a).phi, Flux.rational(*b).phi)[1]
-            for a, b, s1, s2 in zip(conv[2:], conv[3:], sigmas[2:], sigmas[3:])
-        ]
-        c2 = 1.5 * max(ratios)
-        print(f"# fitted C2 = {c2:.3f} from {len(ratios)} consecutive pairs")
-
-    covers = [s.inflated(holder_radius(c2, flux.alpha, p / q))
-              for (p, q), s in zip(conv, sigmas)]
+        c2 = fitted_holder_constant(conv)
+        print(f"# fitted C2 = {c2:.3f} from {len(conv) - 3} consecutive pairs")
+    # rational_spectrum caches each Sigma_{p_n/q_n}, so the fit, the covers
+    # and the q|Sigma| column solve it once
+    covers = [irrational_cover(flux.alpha, n, c2) for n in range(len(conv))]
     print(f"{'n':>3} {'p/q':>11} {'|S_n|':>9} {'|S_n|*q':>9} {'q|Sigma|':>9} "
           f"{'bands':>6}  nested")
-    for n, ((p, q), sigma, cover) in enumerate(zip(conv, sigmas, covers)):
+    for c, nxt in zip(covers, covers[1:] + [None]):
         nested = "-"
-        if n + 1 < len(conv):
-            p1, q1 = conv[n + 1]
-            radius = holder_radius(c2, p / q, p1 / q1)
-            nested = "yes" if cover.inflated(radius).covers(covers[n + 1]) else "NO"
-        m = cover.measure
-        print(f"{n:>3} {p:>5}/{q:<5} {m:9.4f} {m * q:9.3f} "
-              f"{sigma.measure * q:9.4f} {len(cover):>6}  {nested}")
+        if nxt is not None:
+            radius = c2 * math.sqrt(abs(c.p_n / c.q_n - nxt.p_n / nxt.q_n))
+            nested = "yes" if c.intervals.inflated(radius).covers(nxt.intervals) else "NO"
+        m, q = c.intervals.measure, c.q_n
+        print(f"{c.n:>3} {c.p_n:>5}/{q:<5} {m:9.4f} {m * q:9.3f} "
+              f"{rational_spectrum(c.p_n, q).measure * q:9.4f} {len(c.intervals):>6}  {nested}")
     return 0
 
 

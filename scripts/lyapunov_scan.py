@@ -31,16 +31,16 @@ def main() -> int:
     try:
         flux = parse_flux(args.flux)
         lams = _parse_lambdas(args.lambdas)
+        cfg = CocycleConfig(flux=flux, theta_samples=args.theta_samples,
+                            max_n=args.max_n)
+        cover = irrational_cover(flux.alpha, args.cover_level, args.c2)
+        ests = [lyapunov(lam, cfg) for lam in lams]
     except DomainError as exc:
         ap.error(str(exc))
-    cfg = CocycleConfig(flux=flux, theta_samples=args.theta_samples,
-                        max_n=args.max_n)
-    cover = irrational_cover(flux.alpha, args.cover_level, args.c2)
 
     print(f"# flux = {flux}, cover level {cover.n} (q = {cover.q_n})")
     print(f"{'lambda':>10}  {'L':>10}  {'conv':>5}  in-cover")
-    for lam in lams:
-        est = lyapunov(lam, cfg)
+    for lam, est in zip(lams, ests):
         inside = cover.intervals.contains(lam, tol=1e-12)
         print(f"{lam:10.4f}  {est.value:10.6f}  {str(est.converged):>5}  "
               f"{'yes' if inside else 'no'}")

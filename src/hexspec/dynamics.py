@@ -13,6 +13,10 @@ from .flux import Flux, continued_fraction
 from .intervals import BandList
 from .jacobi import _d_product, rational_spectrum
 
+# The renormalised transfer product squares the entries of its first tree
+# level, which are about lambda^2: lambda^4 overflows above |lambda| = 1.16e77.
+LE_LAMBDA_MAX = 1e77
+
 
 @dataclass(frozen=True)
 class CocycleConfig:
@@ -28,6 +32,8 @@ class CocycleConfig:
             raise DomainError("theta_samples must be >= 64")
         if self.max_n < 1:
             raise DomainError("max_n must be >= 1")
+        if not self.tolerance > 0.0:
+            raise DomainError(f"tolerance must be > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,8 @@ def complexified_le(lam: float, flux: Flux, epsilon: float,
     """Exponent with theta shifted by i*epsilon: exact at rational flux or at a
     continued fraction ending by q = max_n, else along the convergents with
     max_n/16 <= q <= max_n until two agree within the tolerance (n_used = q)."""
+    if not abs(lam) <= LE_LAMBDA_MAX:
+        raise DomainError(f"|lambda| must be <= {LE_LAMBDA_MAX:g}, got {lam:g}")
     if config is None:
         config = CocycleConfig(flux=flux)
     m = config.theta_samples
@@ -108,19 +116,6 @@ def acceleration(lam: float, flux: Flux, epsilon: float) -> float:
     return (l1 - l0) / (2.0 * math.pi * step)
 
 
-def holder_radius(holder_constant: float, x: float, y: float) -> float:
-    """Hölder inflation radius C2 |x - y|^(1/2) between fluxes x and y."""
-    return holder_constant * math.sqrt(abs(x - y))
-
-
-def holder_ratio(s1: BandList, s2: BandList, phi1: float, phi2: float) -> tuple[float, float]:
-    """One-sided Hausdorff distance sup over the edges of s1 of the distance to
-    s2, and its ratio to |phi1 - phi2|^(1/2) (0 at equal fluxes)."""
-    sup = float(np.max(s2.distance(s1.endpoints()), initial=0.0))
-    dphi = abs(phi1 - phi2)
-    return sup, sup / math.sqrt(dphi) if dphi > 0 else 0.0
-
-
 def irrational_cover(alpha: float, n: int, holder_constant: float) -> CoverEstimate:
     """Cover of the spectrum at irrational flux quantum alpha built from its
     n-th convergent: rational bands inflated by C2 |alpha - p_n/q_n|^(1/2)."""
@@ -132,7 +127,7 @@ def irrational_cover(alpha: float, n: int, holder_constant: float) -> CoverEstim
         raise DomainError(f"alpha={alpha} has no convergent of index {n}")
     p_n, q_n = conv[n]
     diff = abs(alpha - p_n / q_n)
-    radius = holder_radius(holder_constant, alpha, p_n / q_n)
+    radius = holder_constant * math.sqrt(diff)
     cover = rational_spectrum(p_n, q_n).inflated(radius)
     bound = 16.0 * math.pi / (3.0 * q_n) + 2.0 * holder_constant * q_n * math.sqrt(diff)
     return CoverEstimate(n=n, p_n=p_n, q_n=q_n, radius=radius,
@@ -140,15 +135,25 @@ def irrational_cover(alpha: float, n: int, holder_constant: float) -> CoverEstim
 
 
 def holder_probe(flux1: Flux, flux2: Flux) -> dict:
-    """One-sided Hausdorff distance between two exactly computed rational
-    spectra, reported together with its ratio to |Phi1 - Phi2|^(1/2)."""
+    """One-sided Hausdorff distance (over the edges of the first) between two
+    exactly computed rational spectra, and its ratio to |Phi1 - Phi2|^(1/2)."""
     if not (flux1.is_rational and flux2.is_rational):
         raise DomainError("holder_probe needs two rational fluxes")
-    sup, ratio = holder_ratio(rational_spectrum(flux1.p, flux1.q),
-                              rational_spectrum(flux2.p, flux2.q), flux1.phi, flux2.phi)
+    s1, s2 = (rational_spectrum(f.p, f.q) for f in (flux1, flux2))
+    sup = float(np.max(s2.distance(s1.endpoints()), initial=0.0))
+    dphi = abs(flux1.phi - flux2.phi)
     return {
         "flux1": str(flux1),
         "flux2": str(flux2),
         "sup_onesided_distance": sup,
-        "ratio": ratio,
+        "ratio": sup / math.sqrt(dphi) if dphi > 0 else 0.0,
     }
+
+
+def fitted_holder_constant(convergents) -> float:
+    """Hölder constant C2 fitted on convergents p_n/q_n: 1.5 times the largest
+    holder_probe ratio over the pairs of consecutive ones from n = 2 on."""
+    if len(convergents) < 4:
+        raise DomainError(f"fitting C2 needs 4 convergents, got {len(convergents)}")
+    return 1.5 * max(holder_probe(Flux.rational(*a), Flux.rational(*b))["ratio"]
+                     for a, b in zip(convergents[2:], convergents[3:]))

@@ -76,10 +76,9 @@ class MonodromySolution:
 
 @dataclass(frozen=True)
 class HillBand:
-    index: int  # 1-based
+    index: int  # 1-based; Delta falls on odd bands, rises on even ones
     alpha: float
     beta: float
-    monotonicity: str  # "increasing" | "decreasing" (Delta on the interior)
 
 
 def _step_matrices(Vn: np.ndarray, lams: np.ndarray, h: float):
@@ -271,8 +270,7 @@ def hill_bands(
     neumann, dirichlet = _eigenvalues(V, float(lambda_max), steps)
     edges = sorted(neumann + dirichlet)
     return [
-        HillBand(index=k + 1, alpha=edges[2 * k], beta=edges[2 * k + 1],
-                 monotonicity="increasing" if k % 2 else "decreasing")
+        HillBand(index=k + 1, alpha=edges[2 * k], beta=edges[2 * k + 1])
         for k in range(len(edges) // 2)
     ]
 
@@ -307,10 +305,9 @@ def invert_discriminant_on_band(V: PotentialSpec, band: HillBand, w):
         raise DomainError(f"discriminant target {w} outside [-1, 1]")
     targets = w.ravel()
     fa, fb = discriminant_batch(V, [band.alpha, band.beta])[:, None] - targets
-    increasing = band.monotonicity == "increasing"
     lam = _bisect_many(lambda lams: discriminant_batch(V, lams) - targets,
                        np.full(w.size, band.alpha), np.full(w.size, band.beta),
-                       increasing, xtol=1e-13)
+                       band.index % 2 == 0, xtol=1e-13)
     # w at (or numerically beyond) an edge value
     edge = np.where(np.abs(fa) <= np.abs(fb), band.alpha, band.beta)
     lam = np.where(fa * fb < 0.0, lam, edge).reshape(w.shape)
@@ -358,8 +355,9 @@ class BandInverter:
                                    _MODEL_NODES - 1, domain=[a, b])
         self._slope = self.delta.deriv()
         self.model_error = float(np.sum(np.abs(self.delta.coef[-2:])))
-        # Delta(alpha) = -Delta(beta): +1 where Delta falls, -1 where it rises
-        self._w_alpha = 1.0 if band.monotonicity == "decreasing" else -1.0
+        # Delta(alpha) = -Delta(beta): +1 on odd bands, where Delta falls,
+        # -1 on even ones, where it rises
+        self._w_alpha = 1.0 if band.index % 2 else -1.0
         # k rises from ~0 at alpha to ~pi at beta on every band
         self._table = np.linspace(a, b, _TABLE_CELLS + 1)
         self._k = self._angle(self.delta(self._table))

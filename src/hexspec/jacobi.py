@@ -65,12 +65,6 @@ def transfer_D_product(lam: float, theta: float, flux: Flux, n: int) -> np.ndarr
     return np.array([[a, b], [c, d]], dtype=complex)
 
 
-def _trace_Dq(lam, theta: float, p: int, q: int):
-    """tr(D_q(theta)) for a batch of energies."""
-    a, _, _, d, _ = _d_product(np.asarray(lam, dtype=complex), theta, p / q, q)
-    return a + d
-
-
 def chambers_Gq(lam, p: int, q: int, theta0: float | None = None):
     """Chambers' theta-independent polynomial G_q(lambda).
 
@@ -81,8 +75,8 @@ def chambers_Gq(lam, p: int, q: int, theta0: float | None = None):
     check_reduced(p, q)
     if theta0 is None:
         theta0 = 1.0 / (4.0 * q)
-    tr = _trace_Dq(lam, theta0, p, q)
-    g = tr + 2.0 * math.cos(2.0 * math.pi * q * theta0)
+    a, _, _, d, _ = _d_product(np.asarray(lam, dtype=complex), theta0, p / q, q)
+    g = a + d + 2.0 * math.cos(2.0 * math.pi * q * theta0)
     g = np.real_if_close(g, tol=1e6)
     if np.iscomplexobj(g) and np.max(np.abs(np.imag(g))) > 1e-8 * (1 + np.max(np.abs(g))):
         raise ConsistencyError("Chambers polynomial came out complex")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from . import hill, jacobi
-from .dynamics import irrational_cover, holder_probe
+from .dynamics import fitted_holder_constant, irrational_cover
 from .flux import Flux, GOLDEN_MEAN, golden_flux, reduced_fractions
 from .hill import (DEFAULT_STEPS, dirichlet_eigenvalues, discriminant_batch, hill_bands,
                    integrate_monodromy)
@@ -137,7 +137,7 @@ def _check_det_tr():
         theta = 0.5 + int(rng.integers(0, q)) / q
         lam = float(rng.uniform(-8, 8))
         det = np.linalg.det(lam * np.eye(q) - jacobi.build_Mq(p, q))
-        tr = jacobi._trace_Dq(np.array([lam]), theta, p, q)[0]
+        tr = np.trace(jacobi.transfer_D_product(lam, theta, Flux.rational(p, q), q))
         worst = max(worst, abs(det - tr) / (1.0 + abs(tr)))
     return worst <= 1e-8, f"max relative det-tr deviation {worst:.2e}"
 
@@ -255,11 +255,7 @@ def _check_rank_dichotomy():
 
 def _check_cover_containment():
     g = golden_flux()
-    ratios = [
-        holder_probe(Flux.rational(*a), Flux.rational(*b))["ratio"]
-        for a, b in zip(g.convergents[2:8], g.convergents[3:9])
-    ]
-    c2 = 1.5 * max(ratios)
+    c2 = fitted_holder_constant(g.convergents[:9])
     deep = jacobi.rational_spectrum(*g.convergents[7])
     cover = irrational_cover(GOLDEN_MEAN, 5, c2)
     ok = cover.intervals.covers(deep)

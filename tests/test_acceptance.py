@@ -20,7 +20,7 @@ from hexspec.dynamics import (
 from hexspec.flux import GOLDEN_MEAN, Flux, golden_flux, reduced_fractions
 from hexspec.graph import dirac_points, graph_spectrum
 from hexspec.hill import discriminant_batch, dirichlet_eigenvalues, hill_bands
-from hexspec.jacobi import _trace_Dq, build_Mq, chambers_Gq, rational_spectrum
+from hexspec.jacobi import build_Mq, chambers_Gq, rational_spectrum, transfer_D_product
 from hexspec.loops import (
     double_hexagon_loop,
     double_hexagon_state,
@@ -131,7 +131,7 @@ def test_criterion_5_det_tr_and_chambers():
             theta = 0.5 + int(rng.integers(0, q)) / q
             lam = float(rng.uniform(-8, 8))
             det = np.linalg.det(lam * np.eye(q) - build_Mq(p, q))
-            tr = _trace_Dq(np.array([lam]), theta, p, q)[0]
+            tr = np.trace(transfer_D_product(lam, theta, Flux.rational(p, q), q))
             worst_det = max(worst_det, abs(det - tr) / (1.0 + abs(tr)))
             g1 = chambers_Gq(lam, p, q)
             g2 = chambers_Gq(lam, p, q, theta0=1.0 / (4 * q) + float(rng.uniform(0.05, 0.2)))

@@ -63,6 +63,9 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
     ["bands", "--flux", "1/3", "--potential", "mathieu:nan"],
     ["bands", "--flux", "1/3", "--potential", "mathieu:inf"],
     ["bands", "--flux", "golden"],
+    # the cocycle product overflows above |lambda| = 1.16e77
+    ["lyapunov", "--lambdas=1.2e77"],
+    ["lyapunov", "--tolerance", "0"],
 ])
 def test_bad_inputs_exit_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] == "butterfly":

@@ -8,6 +8,7 @@ from hexspec.dynamics import (
     CocycleConfig,
     acceleration,
     complexified_le,
+    fitted_holder_constant,
     holder_probe,
     irrational_cover,
     lyapunov,
@@ -44,6 +45,10 @@ def test_cocycle_config_validation():
         CocycleConfig(flux=GOLD, theta_samples=10)
     with pytest.raises(DomainError):
         CocycleConfig(flux=GOLD, max_n=0)
+    # a Cauchy test |cur - prev| < tolerance that no pair can pass
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="tolerance"):
+            CocycleConfig(flux=GOLD, tolerance=tol)
 
 
 def test_correction_integral_is_zero():
@@ -101,6 +106,15 @@ def test_le_in_log_scale_at_large_q():
     assert complexified_le(0.0, big, 2.0).value == pytest.approx(4.0 * math.pi, abs=1e-9)
     # L vanishes at the Dirac energy, like 0.65/q along the convergents
     assert lyapunov(-3.0, CocycleConfig(flux=GOLD)).value < 1e-3
+
+
+def test_le_energy_bound():
+    # L = ln|lambda| far above the spectrum, up to where the renormalised
+    # product overflows (lambda^4 > 1.8e308); beyond, an error and not NaN
+    cfg = CocycleConfig(flux=GOLD)
+    assert lyapunov(1e77, cfg).value == pytest.approx(math.log(1e77), rel=1e-9)
+    with pytest.raises(DomainError, match="lambda"):
+        lyapunov(1.2e77, cfg)
 
 
 @pytest.mark.parametrize("value,p,q", [(0.5, 1, 2), (0.0, 0, 1)])
@@ -198,3 +212,12 @@ def test_holder_ratio_bounded_along_fibonacci():
         rep = holder_probe(Flux.rational(p1, q1), Flux.rational(p2, q2))
         ratios.append(rep["ratio"])
     assert max(ratios) < 2.0  # single constant across the scale sweep
+
+
+def test_fitted_holder_constant_is_the_criterion_8_fit():
+    conv = GOLD.convergents[:10]
+    ratios = [holder_probe(Flux.rational(*a), Flux.rational(*b))["ratio"]
+              for a, b in zip(conv[2:], conv[3:])]
+    assert fitted_holder_constant(conv) == 1.5 * max(ratios)
+    with pytest.raises(DomainError, match="4 convergents"):
+        fitted_holder_constant(conv[:3])

@@ -181,15 +181,15 @@ def test_hill_bands_zero_potential(rk4_calls):
     for k, b in enumerate(bands[:5], start=1):
         assert b.alpha == pytest.approx(math.pi ** 2 * (k - 1) ** 2, abs=1e-8)
         assert b.beta == pytest.approx(math.pi ** 2 * k ** 2, abs=1e-8)
-        expected = "decreasing" if k % 2 == 1 else "increasing"
-        assert b.monotonicity == expected
 
 
 def test_hill_band_edges_have_unit_discriminant():
     for V, lmax in ((V0, 100.0), (VM, 200.0)):
-        edges = [e for b in hill_bands(V, lmax) for e in (b.alpha, b.beta)]
-        delta = discriminant_batch(V, edges, 2 * DEFAULT_STEPS)
-        assert np.max(np.abs(np.abs(delta) - 1.0)) < 1e-8
+        bands = hill_bands(V, lmax)
+        delta = discriminant_batch(V, [(b.alpha, b.beta) for b in bands], 2 * DEFAULT_STEPS)
+        # Delta falls from +1 to -1 on odd bands and rises on even ones
+        want = [(1.0, -1.0) if b.index % 2 else (-1.0, 1.0) for b in bands]
+        assert len(bands) >= 3 and np.max(np.abs(delta - want)) < 1e-8
 
 
 def test_mathieu_bands_have_open_gaps():
@@ -431,7 +431,7 @@ def test_band_inverter_matches_bisection():
 
 def test_band_inverter_maps_edge_values_to_edges():
     # the model's edge values are off by ~1e-15 with either sign, so the
-    # bracket's direction must come from the band's monotonicity; the
+    # bracket's direction must come from the band's index; the
     # tolerance covers the ill-conditioned closed-gap edges of V=0
     for V, n in ((V0, 5), (VM, 3)):
         for band in hill_bands_first_n(V, n):
@@ -447,7 +447,7 @@ def test_band_inverter_maps_unit_targets_to_edges_exactly():
         for band in hill_bands_first_n(V, n):
             got = BandInverter(V, band)([1.0, -1.0])
             ends = [band.alpha, band.beta]
-            assert got.tolist() == (ends if band.monotonicity == "decreasing" else ends[::-1])
+            assert got.tolist() == (ends if band.index % 2 else ends[::-1])
 
 
 def test_band_inverter_builds_from_one_kernel_call(rk4_calls):

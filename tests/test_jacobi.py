@@ -10,7 +10,6 @@ from hexspec.errors import ConsistencyError, DomainError
 from hexspec.flux import Flux, golden_flux, reduced_fractions
 from hexspec.jacobi import (
     _theta_stars,
-    _trace_Dq,
     build_Mq,
     chambers_Gq,
     coeff_c,
@@ -89,7 +88,7 @@ def test_transfer_D_entries():
 def test_trace_D2_symbolic():
     # at p/q = 1/2: tr(D_2) = lam^2 - 6 - 2 cos(4 pi theta)
     lam, theta = 1.9, 0.31
-    tr = _trace_Dq(np.array([lam]), theta, 1, 2)[0]
+    tr = np.trace(transfer_D_product(lam, theta, Flux.rational(1, 2), 2))
     assert tr.real == pytest.approx(
         lam ** 2 - 6.0 - 2.0 * math.cos(4 * math.pi * theta), abs=1e-12
     )
@@ -130,7 +129,7 @@ def test_det_equals_trace():
         theta = 0.5 + int(rng.integers(0, q)) / q
         lam = float(rng.uniform(-8, 8))
         det = np.linalg.det(lam * np.eye(q) - build_Mq(p, q))
-        tr = _trace_Dq(np.array([lam]), theta, p, q)[0]
+        tr = np.trace(transfer_D_product(lam, theta, Flux.rational(p, q), q))
         assert abs(det - tr) <= 1e-8 * (1.0 + abs(tr))
 
 

@@ -38,7 +38,7 @@ def test_tabulated_spline_is_built_once(monkeypatch):
 def test_import_leaves_scipy_unloaded():
     # only tabulated potentials need scipy, and they import it on first use
     src = os.path.dirname(os.path.dirname(hexspec.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error::RuntimeWarning")
     code = "import sys, hexspec; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True).stdout

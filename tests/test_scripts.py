@@ -1,22 +1,43 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from hexspec.dynamics import holder_probe, irrational_cover
+from hexspec.flux import GOLDEN_MEAN, Flux, golden_flux
+from hexspec.jacobi import rational_spectrum
+
 ROOT = Path(__file__).resolve().parents[1]
+# pyproject's filterwarnings reaches only this process
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error::RuntimeWarning")
 
 
 def test_cantor_covers_levels_9():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "cantor_covers.py"), "--levels", "9"],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=120, check=True)
+        env=ENV, capture_output=True, text=True, timeout=120, check=True)
+    # criterion 8's fit and covers, printed as the script prints them
+    conv = golden_flux().convergents[:10]
+    c2 = 1.5 * max(holder_probe(Flux.rational(*a), Flux.rational(*b))["ratio"]
+                   for a, b in zip(conv[2:], conv[3:]))
+    covers = [irrational_cover(GOLDEN_MEAN, n, c2) for n in range(10)]
+    want = []
+    for c, nxt in zip(covers, covers[1:] + [None]):
+        nested = "-"
+        if nxt is not None:
+            radius = c2 * math.sqrt(abs(c.p_n / c.q_n - nxt.p_n / nxt.q_n))
+            nested = "yes" if c.intervals.inflated(radius).covers(nxt.intervals) else "NO"
+        m, q = c.intervals.measure, c.q_n
+        want.append([str(c.n), f"{c.p_n}/{q}", f"{m:.4f}", f"{m * q:.3f}",
+                     f"{rational_spectrum(c.p_n, q).measure * q:.4f}",
+                     str(len(c.intervals)), nested])
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"# fitted C2 = {c2:.3f} from 7 consecutive pairs"
     # columns: n, p/q, |S_n|, |S_n|*q, q|Sigma|, bands, nested
-    rows = [ln.split() for ln in proc.stdout.splitlines()[2:]]
-    assert proc.stdout.startswith("# fitted C2 =")
-    assert len(rows) == 10
-    assert [r[-1] for r in rows] == ["yes"] * 9 + ["-"]
-    assert rows[-1][1] == "55/89" and 4.0 <= float(rows[-1][4]) <= 5.0
+    assert [ln.split() for ln in lines[2:]] == want
+    assert [r[-1] for r in want] == ["yes"] * 9 + ["-"]
+    assert want[-1][1] == "55/89" and 4.0 <= float(want[-1][4]) <= 5.0
 
 
 def test_cantor_covers_bad_input_is_a_usage_error():
@@ -25,8 +46,7 @@ def test_cantor_covers_bad_input_is_a_usage_error():
                  ["--alpha", "1/3", "--c2", "2"]):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "cantor_covers.py"), *args],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            capture_output=True, text=True, timeout=120)
+            env=ENV, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2 and "usage:" in proc.stderr, args
         assert "Traceback" not in proc.stderr and not proc.stdout, args
 
@@ -34,8 +54,7 @@ def test_cantor_covers_bad_input_is_a_usage_error():
 def _lyapunov_scan(*args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "lyapunov_scan.py"), *args],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=120)
+        env=ENV, capture_output=True, text=True, timeout=120)
 
 
 def test_lyapunov_scan_table():
@@ -53,3 +72,9 @@ def test_lyapunov_scan_bad_lambdas_is_a_usage_error():
         proc = _lyapunov_scan(f"--lambdas={bad}", "--max-n", "256")
         assert proc.returncode == 2 and "bad lambdas" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_lyapunov_scan_energy_above_the_bound_is_a_usage_error():
+    proc = _lyapunov_scan("--lambdas=1.2e77", "--max-n", "256")
+    assert proc.returncode == 2 and "usage:" in proc.stderr and "lambda" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
