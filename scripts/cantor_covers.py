@@ -44,13 +44,15 @@ def main() -> int:
         ap.error(f"fitting C2 needs 4 convergents, and --alpha {args.alpha} "
                  f"--levels {args.levels} gives {len(conv)}: raise --levels or give --c2")
 
-    c2 = args.c2
-    if c2 is None:
-        c2 = fitted_holder_constant(conv)
+    try:  # a q above jacobi.Q_MAX is refused
+        c2 = fitted_holder_constant(conv) if args.c2 is None else args.c2
+        # rational_spectrum caches each Sigma_{p_n/q_n}, so the fit, the covers
+        # and the q|Sigma| column solve it once
+        covers = [irrational_cover(flux.alpha, n, c2) for n in range(len(conv))]
+    except DomainError as exc:
+        ap.error(str(exc))
+    if args.c2 is None:
         print(f"# fitted C2 = {c2:.3f} from {len(conv) - 3} consecutive pairs")
-    # rational_spectrum caches each Sigma_{p_n/q_n}, so the fit, the covers
-    # and the q|Sigma| column solve it once
-    covers = [irrational_cover(flux.alpha, n, c2) for n in range(len(conv))]
     print(f"{'n':>3} {'p/q':>11} {'|S_n|':>9} {'|S_n|*q':>9} {'q|Sigma|':>9} "
           f"{'bands':>6}  nested")
     for c, nxt in zip(covers, covers[1:] + [None]):

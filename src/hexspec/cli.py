@@ -269,7 +269,8 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.fn(args)
-    except (HexspecError, OSError) as exc:  # OSError: an unwritable --output
+    # OSError: an unwritable --output; MemoryError: a grid too large to allocate
+    except (HexspecError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -122,9 +122,9 @@ def irrational_cover(alpha: float, n: int, holder_constant: float) -> CoverEstim
     if n < 0 or holder_constant < 0:
         raise DomainError(f"a cover needs n >= 0 and holder_constant >= 0, got "
                           f"{n} and {holder_constant}")
-    conv = continued_fraction(alpha, n + 1)
+    conv = continued_fraction(alpha)
     if len(conv) <= n:
-        raise DomainError(f"alpha={alpha} has no convergent of index {n}")
+        raise DomainError(f"alpha={alpha} has {len(conv)} convergents, none of index {n}")
     p_n, q_n = conv[n]
     diff = abs(alpha - p_n / q_n)
     radius = holder_constant * math.sqrt(diff)

@@ -10,35 +10,28 @@ from fractions import Fraction
 from .errors import DomainError
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
-N_CONVERGENTS = 40  # at most this many are kept for a real flux
 
 
-def continued_fraction(alpha: float, n_terms: int) -> list[tuple[int, int]]:
-    """Convergents p_n/q_n of alpha in (0,1).
+def continued_fraction(alpha: float) -> list[tuple[int, int]]:
+    """Convergents p_n/q_n of alpha in (0,1), up to and including the first
+    within math.ulp(alpha) of alpha: past it the float holds no more digits.
 
-    Each pair is reduced and satisfies |alpha - p_n/q_n| <= 1/(q_n q_{n+1}).
-    Terminates early if the expansion bottoms out (rational alpha).
+    The expansion is of the float's exact value, so each pair is reduced and
+    satisfies |alpha - p_n/q_n| <= 1/(q_n q_{n+1}).  It ends at the latest
+    where p_n/q_n equals that value, so it always ends.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    if not (0.0 < alpha < 1.0 and math.isfinite(1.0 / alpha)):
+        raise DomainError(f"alpha must lie in (0,1) with 1/alpha finite, got {alpha}")
     out: list[tuple[int, int]] = []
     # recurrences p_n = a_n p_{n-1} + p_{n-2}, same for q
     p_prev, q_prev = 1, 0
     p_cur, q_cur = 0, 1
-    x = alpha
-    for _ in range(n_terms):
-        if x == 0.0:
-            break
-        x = 1.0 / x
-        a = int(math.floor(x))
-        if a <= 0:  # lost precision
-            break
+    x = rest = Fraction(alpha)
+    while abs(x - Fraction(p_cur, q_cur)) > math.ulp(alpha):
+        a, rest = divmod(1 / rest, 1)
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         out.append((p_cur, q_cur))
-        x -= a
-        if q_cur > 1 / max(abs(alpha * q_cur - p_cur), 1e-300):
-            break  # next convergent would be below machine resolution
     return out
 
 
@@ -75,7 +68,7 @@ class Flux:
     @classmethod
     def real(cls, value: float) -> "Flux":
         frac = value - math.floor(value)
-        conv = continued_fraction(frac, N_CONVERGENTS) if 0 < frac < 1 else []
+        conv = continued_fraction(frac) if 0 < frac < 1 else []
         return cls(value=value, convergents=tuple(conv))
 
     @property

@@ -44,12 +44,12 @@ class BandList:
         m = self.merged()
         return float(np.cumsum(m.hi - m.lo)[-1]) if len(m) else 0.0
 
-    def merged(self, tol: float = MERGE_TOL) -> "BandList":
-        """Coalesce intervals whose gap to the reach of those before is <= tol."""
+    def merged(self) -> "BandList":
+        """Coalesce intervals whose gap to the reach of those before is <= MERGE_TOL."""
         if not len(self):
             return self
         reach = np.maximum.accumulate(self.hi)
-        starts = np.flatnonzero(np.concatenate(([True], self.lo[1:] > reach[:-1] + tol)))
+        starts = np.flatnonzero(np.concatenate(([True], self.lo[1:] > reach[:-1] + MERGE_TOL)))
         return BandList(self.lo[starts], np.maximum.reduceat(self.hi, starts))
 
     def inflated(self, radius: float) -> "BandList":
@@ -61,13 +61,13 @@ class BandList:
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return bool(np.any((self.lo - tol <= x) & (x <= self.hi + tol)))
 
-    def covers(self, other: "BandList", tol: float = 1e-12) -> bool:
+    def covers(self, other: "BandList") -> bool:
         """True if every interval of `other` lies inside some merged interval
-        of self: the last to start left of it, as the merged hi ascend."""
+        of self, to MERGE_TOL: the last to start left of it, as the merged hi ascend."""
         mine, theirs = self.merged(), other.merged()
-        i = np.searchsorted(mine.lo - tol, theirs.lo, side="right") - 1
+        i = np.searchsorted(mine.lo - MERGE_TOL, theirs.lo, side="right") - 1
         # i = -1 (none starts left of it) reads the -inf appended last
-        return bool(np.all(theirs.hi <= np.append(mine.hi, -np.inf)[i] + tol))
+        return bool(np.all(theirs.hi <= np.append(mine.hi, -np.inf)[i] + MERGE_TOL))
 
     def distance(self, x):
         """Distance from the point x, or from each point of an array x, to

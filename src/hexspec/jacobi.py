@@ -9,9 +9,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .flux import Flux, check_reduced, mirror_numerator
 from .intervals import BandList
+
+# The largest q for which a Sigma solve or a q-factor transfer product is built.
+# Both hold O(q) arrays, ~120 bytes per q at the peak (tracemalloc, q = 2^12 to
+# 2^15): 0.5 GB at 2^22.  A larger request, granted by Linux's heuristic
+# overcommit on an 8 GB machine, got the process killed instead of an error.
+# Time binds first: a Sigma solve is O(q^2), 0.63, 2.5, 9.9 s at q = 4096, 8192, 16384.
+Q_MAX = 2 ** 22
 
 
 def coeff_c(theta) -> complex:
@@ -36,6 +43,8 @@ def _d_product(lam, theta, alpha: float, n: int, renorm: bool = False):
     product of a level is divided by its Frobenius norm, and the log scale
     sums their logs; otherwise it stays zero.
     """
+    if n > Q_MAX:
+        raise DomainError(f"q = {n} is above the bound Q_MAX = {Q_MAX}")
     shape = np.broadcast_shapes(np.shape(lam), np.shape(theta))
     log_scale = np.zeros(shape)
     if n == 0:
@@ -150,6 +159,8 @@ def _banded_spectrum(p: int, q: int, thetas) -> tuple[np.ndarray, np.ndarray]:
     solved by LAPACK dsbev on its band array: O(q^2) time, O(q) memory."""
     from scipy.linalg.lapack import dsbev  # keeps scipy out of `import hexspec`
 
+    if q > Q_MAX:
+        raise DomainError(f"q = {q} is above the bound Q_MAX = {Q_MAX}")
     eigs = []
     for ab in _banded_blocks(p, q, thetas, [-1.0, 1.0]):
         w, _, info = dsbev(ab, compute_v=0, lower=1)

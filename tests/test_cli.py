@@ -66,6 +66,17 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
     # the cocycle product overflows above |lambda| = 1.16e77
     ["lyapunov", "--lambdas=1.2e77"],
     ["lyapunov", "--tolerance", "0"],
+    # golden and 0.3 have 38 and 3 convergents before their floats run out of digits
+    ["cover", "--level", "45"],
+    ["cover", "--alpha", "0.3", "--level", "3"],
+    # q above jacobi.Q_MAX: about 1e300, and 1e14 + 1
+    ["cover", "--alpha", "1e-300", "--level", "0"],
+    ["bands", "--flux", "1/100000000000001"],
+    ["lyapunov", "--flux", "1/100000000000001", "--lambdas=0"],
+    ["lyapunov", "--flux", "5e-324", "--lambdas=0"],  # 1/alpha overflows
+    # grids of 745 GiB and 7.28 TiB, refused by the allocator at once
+    ["lyapunov", "--lambdas=0:1:100000000000"],
+    ["lyapunov", "--theta-samples", "1000000000000", "--lambdas=0"],
 ])
 def test_bad_inputs_exit_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] == "butterfly":

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,22 +23,46 @@ GOLD = golden_flux()
 
 
 def test_continued_fraction_golden_is_fibonacci():
-    conv = continued_fraction(GOLDEN_MEAN, 8)
+    conv = continued_fraction(GOLDEN_MEAN)[:8]
     assert conv == [(1, 1), (1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21), (21, 34)]
 
 
 def test_continued_fraction_sqrt2():
-    conv = continued_fraction(math.sqrt(2.0) - 1.0, 5)
+    conv = continued_fraction(math.sqrt(2.0) - 1.0)[:5]
     assert conv == [(1, 2), (2, 5), (5, 12), (12, 29), (29, 70)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(alpha=st.floats(1e-4, 1.0 - 1e-4))
 def test_continued_fraction_approximation_bound(alpha):
-    conv = continued_fraction(alpha, 12)
+    conv = continued_fraction(alpha)[:12]
     for (p1, q1), (p2, q2) in zip(conv, conv[1:]):
         assert abs(alpha - p1 / q1) <= 1.0 / (q1 * q2) + 1e-15
         assert math.gcd(p1, q1) == 1
+
+
+def test_convergents_end_at_the_float():
+    assert continued_fraction(0.3) == [(1, 3), (2, 7), (3, 10)]
+    conv = continued_fraction(GOLDEN_MEAN)
+    # 63245986/102334155 rounds to GOLDEN_MEAN itself
+    assert len(conv) == 38 and conv[-1] == (63245986, 102334155)
+    assert Flux.real(GOLDEN_MEAN).convergents == tuple(conv)
+    # 0.3 ends at 3/10, so it has no convergent of index 3
+    with pytest.raises(DomainError, match="index 3"):
+        irrational_cover(0.3, 3, 2.0)
+
+
+def test_last_convergent_is_the_first_within_an_ulp():
+    rng = np.random.default_rng(30)
+    sample = [*rng.random(300), *10.0 ** rng.uniform(-300, -1, 100),
+              *(1.0 - 10.0 ** rng.uniform(-16, -1, 100)),
+              GOLDEN_MEAN, 2 ** -0.5, 0.3, 1.0 - 2.0 ** -53, 1e-300, 2.0 ** -1022]
+    for alpha in map(float, sample):
+        conv = continued_fraction(alpha)
+        # Fraction arithmetic is exact, so these are the errors |alpha - p/q| themselves
+        err = [abs(Fraction(alpha) - Fraction(p, q)) for p, q in conv]
+        assert err[-1] <= math.ulp(alpha) < min(err[:-1], default=math.inf), alpha
+        assert all(math.gcd(p, q) == 1 for p, q in conv), alpha
 
 
 def test_cocycle_config_validation():

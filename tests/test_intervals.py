@@ -74,10 +74,10 @@ def test_a_band_with_hi_below_lo_or_a_nan_end_is_rejected(lo, hi):
 # Per-interval loop versions of the operations, the oracles of the array
 # code; they read the sorted (lo, hi) pairs of `.intervals`.
 
-def merged_loop(ivs, tol=MERGE_TOL):
+def merged_loop(ivs):
     out = [list(iv) for iv in ivs[:1]]
     for lo, hi in ivs[1:]:
-        if lo <= out[-1][1] + tol:
+        if lo <= out[-1][1] + MERGE_TOL:
             out[-1][1] = max(out[-1][1], hi)
         else:
             out.append([lo, hi])
@@ -95,15 +95,15 @@ def contains_loop(ivs, x, tol):
     return any(lo - tol <= x <= hi + tol for lo, hi in ivs)
 
 
-def covers_loop(mine, theirs, tol):
+def covers_loop(mine, theirs):
     mine = merged_loop(mine)
-    return all(any(mlo - tol <= lo and hi <= mhi + tol for mlo, mhi in mine)
+    return all(any(mlo - MERGE_TOL <= lo and hi <= mhi + MERGE_TOL for mlo, mhi in mine)
                for lo, hi in merged_loop(theirs))
 
 
 TOLS = (0.0, MERGE_TOL, 1e-3)
 # offsets from an existing end: the same end (touching, nested), gaps exactly
-# at MERGE_TOL (which is also the default covers tolerance) and just past it,
+# at MERGE_TOL (the merged and covers tolerance) and just past it,
 # and overlaps
 OFFSETS = (0.0, MERGE_TOL, -MERGE_TOL, 2 * MERGE_TOL, 1e-3, -0.5)
 
@@ -131,9 +131,9 @@ def set_pairs(draw):
 
 
 @settings(max_examples=300)
-@given(band_sets(), st.sampled_from(TOLS))
-def test_merged_and_measure_match_the_loops(b, tol):
-    assert b.merged(tol).intervals == merged_loop(b.intervals, tol)
+@given(band_sets())
+def test_merged_and_measure_match_the_loops(b):
+    assert b.merged().intervals == merged_loop(b.intervals)
     assert b.measure == measure_loop(b.intervals)
 
 
@@ -146,18 +146,16 @@ def test_contains_matches_the_loop(pair, offset, tol):
 
 
 @settings(max_examples=300)
-@given(set_pairs(), st.sampled_from(TOLS))
-@example((BandList(), BandList()), MERGE_TOL)
-@example((BandList(), BandList([1.0], [2.0])), MERGE_TOL)
-@example((BandList([1.0], [2.0]), BandList()), MERGE_TOL)
-@example((BandList([1.0], [2.0]), BandList([1.0 - MERGE_TOL], [2.0 + MERGE_TOL])),
-         MERGE_TOL)
-@example((BandList([1.0], [2.0]), BandList([2.0 + 2 * MERGE_TOL], [2.0 + 2 * MERGE_TOL])),
-         MERGE_TOL)
-def test_covers_matches_the_loop(pair, tol):
+@given(set_pairs())
+@example((BandList(), BandList()))
+@example((BandList(), BandList([1.0], [2.0])))
+@example((BandList([1.0], [2.0]), BandList()))
+@example((BandList([1.0], [2.0]), BandList([1.0 - MERGE_TOL], [2.0 + MERGE_TOL])))
+@example((BandList([1.0], [2.0]), BandList([2.0 + 2 * MERGE_TOL], [2.0 + 2 * MERGE_TOL])))
+def test_covers_matches_the_loop(pair):
     mine, theirs = pair
-    assert mine.covers(theirs, tol) == covers_loop(mine.intervals, theirs.intervals, tol)
-    assert theirs.covers(mine, tol) == covers_loop(theirs.intervals, mine.intervals, tol)
+    assert mine.covers(theirs) == covers_loop(mine.intervals, theirs.intervals)
+    assert theirs.covers(mine) == covers_loop(theirs.intervals, mine.intervals)
 
 
 def test_ends_are_read_only_arrays_of_one_length():

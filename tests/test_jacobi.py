@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexspec import jacobi
+from hexspec.dynamics import complexified_le
 from hexspec.errors import ConsistencyError, DomainError
 from hexspec.flux import Flux, golden_flux, reduced_fractions
 from hexspec.jacobi import (
@@ -435,6 +436,21 @@ def test_rational_spectrum_rejects_a_denominator_below_one(p, q):
 def test_a_flux_that_is_not_reduced_is_a_domain_error(solve):
     with pytest.raises(DomainError):
         solve()
+
+
+@pytest.mark.parametrize("solve", [
+    lambda q: rational_spectrum(1, q),
+    lambda q: theta_spectrum(1, q, 0.3),
+    lambda q: chambers_Gq(0.7, 1, q),
+    lambda q: complexified_le(0.7, Flux.rational(1, q), 0.0),
+], ids=["rational_spectrum", "theta_spectrum", "chambers_Gq", "complexified_le"])
+def test_a_q_above_the_bound_is_a_domain_error(solve, monkeypatch):
+    # read at call time, so lowering it here reaches the Sigma solve and the product
+    monkeypatch.setattr(jacobi, "Q_MAX", 64)
+    jacobi._sigma.cache_clear()  # a cached Sigma_{1/65} would skip the solve
+    with pytest.raises(DomainError, match="Q_MAX"):
+        solve(65)
+    solve(64)
 
 
 def test_no_sigma_band_is_inverted():

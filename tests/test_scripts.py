@@ -43,7 +43,10 @@ def test_cantor_covers_levels_9():
 def test_cantor_covers_bad_input_is_a_usage_error():
     for args in (["--levels", "0"], ["--levels", "1"], ["--levels", "2"],
                  ["--alpha", "0.5"], ["--c2", "-1"], ["--alpha", "nan"],
-                 ["--alpha", "1/3", "--c2", "2"]):
+                 ["--alpha", "1/3", "--c2", "2"],
+                 # 0.3 ends at 3/10; 1e-300's one convergent has q above jacobi.Q_MAX
+                 ["--alpha", "0.3", "--levels", "40"],
+                 ["--alpha", "1e-300", "--levels", "0", "--c2", "1"]):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "cantor_covers.py"), *args],
             env=ENV, capture_output=True, text=True, timeout=120)
