@@ -27,6 +27,8 @@ from .potentials import parse_potential
 # butterfly rows per SVG write: a chunk's coordinate list and its string peak
 # at about 250 bytes per row, 4 MB here
 _SVG_CHUNK = 16384
+# energies per lyapunov scan: ~130 bytes and ~1.2 ms each, 20 minutes at the bound
+LAMBDAS_MAX = 2 ** 20
 
 
 def _fmt(x: float) -> str:
@@ -143,15 +145,15 @@ def _cmd_butterfly(args) -> int:
 
 def _parse_lambdas(text: str) -> list[float]:
     try:
-        if ":" in text:
-            a, b, n = text.split(":")
-            lams = [float(x) for x in np.linspace(float(a), float(b), int(n))]
-        else:
-            lams = [float(x) for x in text.split(",")]
+        a, b, n = text.split(":") if ":" in text else (0, 0, text.count(",") + 1)
+        if not 1 <= int(n) <= LAMBDAS_MAX:  # checked before a grid of n is built
+            raise DomainError(f"bad lambdas {text!r}: {int(n)} energies, not in [1, {LAMBDAS_MAX}]")
+        grid = np.linspace(float(a), float(b), int(n)) if ":" in text else text.split(",")
+        lams = [float(x) for x in grid]
+    except DomainError:
+        raise
     except ValueError as exc:
         raise DomainError(f"bad lambdas {text!r}: a comma list or lo:hi:n") from exc
-    if not lams:
-        raise DomainError(f"bad lambdas {text!r}: the grid is empty")
     if not all(math.isfinite(x) for x in lams):
         raise DomainError(f"bad lambdas {text!r}: every energy must be finite")
     return lams

@@ -16,6 +16,9 @@ from .jacobi import _d_product, rational_spectrum
 # The renormalised transfer product squares the entries of its first tree
 # level, which are about lambda^2: lambda^4 overflows above |lambda| = 1.16e77.
 LE_LAMBDA_MAX = 1e77
+# _rational_le holds ~112 bytes per theta sample at its peak (tracemalloc):
+# 117 MB at this bound, and one convergent takes ~0.15 s there.
+THETA_SAMPLES_MAX = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -28,8 +31,8 @@ class CocycleConfig:
     tolerance: float = 5e-3
 
     def __post_init__(self):
-        if self.theta_samples < 64:
-            raise DomainError("theta_samples must be >= 64")
+        if not 64 <= self.theta_samples <= THETA_SAMPLES_MAX:
+            raise DomainError(f"theta_samples must be in [64, {THETA_SAMPLES_MAX}]")
         if self.max_n < 1:
             raise DomainError("max_n must be >= 1")
         if not self.tolerance > 0.0:

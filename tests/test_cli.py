@@ -5,7 +5,9 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from hexspec.cli import _butterfly_csv, _butterfly_svg, main
+from hexspec.cli import LAMBDAS_MAX, _butterfly_csv, _butterfly_svg, _parse_lambdas, main
+from hexspec.dynamics import THETA_SAMPLES_MAX
+from hexspec.errors import DomainError
 from hexspec.graph import ButterflyDataset, butterfly
 from hexspec.hill import dirichlet_eigenvalues
 from hexspec.potentials import parse_potential
@@ -77,6 +79,9 @@ def test_bands_non_numeric_potential_file(tmp_path, capsys):
     # grids of 745 GiB and 7.28 TiB, refused by the allocator at once
     ["lyapunov", "--lambdas=0:1:100000000000"],
     ["lyapunov", "--theta-samples", "1000000000000", "--lambdas=0"],
+    # one above the bounds, refused before anything of that size is built
+    ["lyapunov", f"--lambdas=0:1:{LAMBDAS_MAX + 1}"],
+    ["lyapunov", "--theta-samples", str(THETA_SAMPLES_MAX + 1), "--lambdas=0"],
 ])
 def test_bad_inputs_exit_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] == "butterfly":
@@ -84,6 +89,12 @@ def test_bad_inputs_exit_with_an_error_line(argv, tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.iterdir())
+
+
+def test_lambda_grid_bound_counts_both_forms():
+    for text in (f"0:1:{LAMBDAS_MAX + 1}", "0," * LAMBDAS_MAX + "0"):
+        with pytest.raises(DomainError, match="energies, not in"):
+            _parse_lambdas(text)
 
 
 def test_deep_mathieu_well_is_past_the_counting_range(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexspec.dynamics import (
+    THETA_SAMPLES_MAX,
     CocycleConfig,
     acceleration,
     complexified_le,
@@ -66,8 +67,9 @@ def test_last_convergent_is_the_first_within_an_ulp():
 
 
 def test_cocycle_config_validation():
-    with pytest.raises(DomainError):
-        CocycleConfig(flux=GOLD, theta_samples=10)
+    for m in (10, THETA_SAMPLES_MAX + 1):
+        with pytest.raises(DomainError, match="theta_samples"):
+            CocycleConfig(flux=GOLD, theta_samples=m)
     with pytest.raises(DomainError):
         CocycleConfig(flux=GOLD, max_n=0)
     # a Cauchy test |cur - prev| < tolerance that no pair can pass

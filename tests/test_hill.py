@@ -32,9 +32,10 @@ VM = parse_potential("mathieu:20")
 @pytest.fixture
 def rk4_calls(monkeypatch):
     """Records the number of energies in each call of the integrator kernel;
-    a call costs about 1.3 ms plus 0.1 ms per energy at the default steps,
-    so the calls and their energies guard the cost of root finding where
-    wall time is too noisy to."""
+    a call costs about 1.3 ms plus 0.1 ms per energy at the default steps
+    (fitted to batches of 1 to 128 on a 2-vCPU VM: 1.29 ms + 0.090 ms), so
+    the calls and their energies guard the cost of root finding where wall
+    time is too noisy to."""
     calls = []
     kernel = hill._rk4_loop
     hill._eigenvalues.cache_clear()  # a cached counting pass makes no call
@@ -174,9 +175,10 @@ def test_discriminant_zero_potential_values():
 
 def test_hill_bands_zero_potential(rk4_calls):
     bands = hill_bands(V0, 25 * math.pi ** 2 + 1.0)
-    assert _cost_ms(rk4_calls) <= 150
-    # 529 energies, of which 276 distinct: each is integrated once
-    assert sum(rk4_calls) <= 300
+    # 22 calls of 146 energies, each distinct energy integrated once; a
+    # bisection to the same cells takes 49 calls of 276
+    assert len(rk4_calls) <= 24 and sum(rk4_calls) <= 160
+    assert _cost_ms(rk4_calls) <= 60
     assert len(bands) >= 5
     for k, b in enumerate(bands[:5], start=1):
         assert b.alpha == pytest.approx(math.pi ** 2 * (k - 1) ** 2, abs=1e-8)
@@ -205,7 +207,7 @@ def test_hill_bands_empty_below_first_band():
 
 def test_dirichlet_eigenvalues_zero_potential(rk4_calls):
     dirs = dirichlet_eigenvalues(V0, 100.0)
-    assert _cost_ms(rk4_calls) <= 120
+    assert _cost_ms(rk4_calls) <= 50
     expected = [k ** 2 * math.pi ** 2 for k in (1, 2, 3)]
     assert len(dirs) == 3
     assert np.allclose(dirs, expected, atol=1e-8)
@@ -285,12 +287,13 @@ def test_kernel_is_independent_of_batch():
 
 
 def test_dirichlet_eigenvalues_at_top_of_counting_range(rk4_calls):
-    # there ulp(lambda) > EDGE_TOL, so only the cap on halvings ends them
+    # there ulp(lambda) > EDGE_TOL, so each last cell is one ulp wide
     dirs = dirichlet_eigenvalues(V0, hill.COUNT_LAMBDA_MAX)
     assert len(dirs) == 100
     expected = (np.arange(1, 101) * math.pi) ** 2
     assert np.max(np.abs(np.array(dirs) / expected - 1.0)) <= 1e-6
-    assert _cost_ms(rk4_calls) <= 2000
+    # 32 calls of 2844 energies; the bisection took 61 calls
+    assert len(rk4_calls) <= 36 and _cost_ms(rk4_calls) <= 400
 
 
 def test_double_well_close_pairs():
@@ -340,6 +343,60 @@ def test_eigenvalues_do_not_depend_on_the_window(V):
     bands = [hill_bands(V, w) for w in windows]
     for d, b in zip(dirs, bands):
         assert d == dirs[-1][:len(d)] and b == bands[-1][:len(b)]
+
+
+def _count_bisection(V, lambda_max):
+    """The eigenvalues as a plain bisection on "count >= k" finds them: every
+    bracket halves from the dyadic window, one kernel call a halving, until
+    it is within EDGE_TOL or, one ulp wide above 2^13, the cap stops it."""
+    def counts(lams):  # of each bracket's kind; each distinct energy run once
+        distinct, back = np.unique(lams, return_inverse=True)
+        n = np.stack(hill._rk4_fundamental(V, distinct, DEFAULT_STEPS)[4:])
+        return n[dirichlet, back.ravel()]
+
+    n = hill._rk4_fundamental(V, lambda_max, DEFAULT_STEPS)[4:]
+    dirichlet = np.repeat([0, 1], n)
+    k = np.concatenate([np.arange(1, m + 1) for m in n])
+    lo = np.floor(V.min_value) - 1.0
+    hi = lo + 2.0 ** np.frexp(lambda_max - lo)[1]
+    roots = _bisect_many(lambda lams: counts(lams) - k + 0.5, np.full(k.size, lo),
+                         np.full(k.size, hi), True, hill.EDGE_TOL)
+    return tuple(roots[dirichlet == 0].tolist()), tuple(roots[dirichlet == 1].tolist())
+
+
+_M = {a: parse_potential(f"mathieu:{a}") for a in (50, -50, 1000, 1700, 1800, -1800)}
+
+
+@pytest.mark.parametrize("V,lambda_max", [
+    *[(V, hill.bands_window(V, 3)) for V in (V0, VM, _M[50], _M[-50], _double_well(),
+                                             _M[1000], _M[1700], _M[1800], _M[-1800])],
+    # brackets above 2^13, where the last cell is one ulp
+    *[(V, 1e4) for V in (V0, VM, _M[-50], _double_well(), _M[1800])],
+    (V0, hill.COUNT_LAMBDA_MAX), (_M[-1800], hill.COUNT_LAMBDA_MAX),
+], ids=lambda x: x.describe() if isinstance(x, PotentialSpec) else f"{x:.6g}")
+def test_eigenvalues_are_the_count_bisections_bits(V, lambda_max):
+    hill._eigenvalues.cache_clear()
+    assert hill._eigenvalues(V, lambda_max, DEFAULT_STEPS) == _count_bisection(V, lambda_max)
+
+
+@pytest.mark.parametrize("V", [_double_well(), _M[-1800]])
+def test_secant_takes_no_more_kernel_calls_than_the_bisection(V, rk4_calls):
+    # without the halving after a round that leaves over a quarter of the
+    # bracket, the double well took 101 calls and mathieu:-1800 174
+    lambda_max = hill.bands_window(V, 3)
+    hill._eigenvalues(V, lambda_max, DEFAULT_STEPS)
+    secant = len(rk4_calls)
+    rk4_calls.clear()
+    _count_bisection(V, lambda_max)
+    assert secant <= len(rk4_calls)
+
+
+def test_cell_is_the_last_cell_of_the_bisection():
+    # 2^-40 up to 2^13, one ulp above, on whichever side the cell lies
+    x = np.array([1.0 / 3.0, 8192.0 - 2.0**-40, 8192.0, -8192.0, -8192.0 - 2.0**-39, 1e5])
+    a, b = hill._cell(x)
+    assert (b - a).tolist() == [2.0**-40, 2.0**-40, 2.0**-39, 2.0**-40, 2.0**-39, 2.0**-36]
+    assert np.all((a <= x) & (x < b))
 
 
 def test_bisect_many_stops_each_bracket_within_xtol():
