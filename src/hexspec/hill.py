@@ -343,79 +343,114 @@ def invert_discriminant_on_band(V: PotentialSpec, band: HillBand, w):
 _MODEL_NODES = 32
 _TABLE_CELLS = 256
 _NEWTON_STEPS = 4
-#: targets per pass of an inverter call; bounds its working set
+#: targets times bands per pass of an inverter call; a pass holds about 13
+#: arrays of this size, so this bounds its working set to a few MB
 _INVERT_CHUNK = 2**15
 
 
-class BandInverter:
-    """Fast vectorized inverse of Delta on one Hill band.
+def _clenshaw(c, x):
+    """numpy's chebval recurrence in three buffers, on a stack of series c at
+    x: each gets Chebyshev.__call__'s bits, also after a top coefficient 0."""
+    x2 = 2 * x
+    c0, c1, t = (np.empty(np.broadcast_shapes(c.shape[1:], x.shape)) for _ in range(3))
+    c0[...], c1[...] = c[-2], c[-1]
+    for ci in c[-3::-1]:
+        np.add(c0, np.multiply(c1, x2, out=t), out=t)  # the next c1
+        np.subtract(ci, c1, out=c1)  # the next c0, faster in place
+        c0, c1, t = c1, t, c0
+    return np.add(c0, np.multiply(c1, x, out=t), out=t)
 
-    Delta is sampled at 32 Chebyshev-Lobatto nodes of the band, both edges
-    included, in one integration, and modeled by its Chebyshev interpolant
-    `delta` (Delta is entire in lambda).  Each target w is seeded from a
+
+class BandInverter:
+    """Fast vectorized inverse of Delta on each of a list of Hill bands.
+
+    Delta is sampled at 32 Chebyshev-Lobatto nodes of each band, both edges
+    included, all in one integration, and modeled by its Chebyshev
+    interpolant (Delta is entire in lambda).  Each target w is seeded from a
     257-point table of the model, interpolated in k = arccos(+-Delta), which
     straightens the square-root shape of Delta at the band edges; the table
     cell that holds w brackets the root, and a fixed 4 Newton steps on the
     model polish it, bisecting the bracket wherever a step would leave it.
-    No step depends on the other targets, so a target's lambda is the same
-    in any batch.  `model_error` is the size of the last two Chebyshev
-    coefficients, an estimate of how far the model is from the integrated
-    Delta.
+    The models and their derivatives are one stack, so one Clenshaw pass
+    gives Delta and Delta' on every band, with each Chebyshev's own bits.
+    No step depends on the other targets or bands, so a target's lambda is
+    the same in any batch.  `model_error` is per band the size of the last
+    two Chebyshev coefficients, an estimate of how far the model is from the
+    integrated Delta.
     """
 
-    def __init__(self, V: PotentialSpec, band: HillBand):
-        self.band = band
-        a, b = band.alpha, band.beta
-        if not b > a:  # a band narrower than the bisection cell has no model
-            raise DomainError(f"Hill band {band.index} [{a!r}, {b!r}] is narrower "
-                              "than the cell its edges are bisected to")
+    def __init__(self, V: PotentialSpec, bands):
+        self.bands = tuple(bands)
+        for band in self.bands:  # a band narrower than the bisection cell has no model
+            if not band.beta > band.alpha:
+                raise DomainError(f"Hill band {band.index} [{band.alpha!r}, {band.beta!r}] "
+                                  "is narrower than the cell its edges are bisected to")
+        a, b = self._ends = np.array([(x.alpha, x.beta) for x in self.bands]).T[..., None]
         nodes = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(
             np.pi * np.arange(_MODEL_NODES) / (_MODEL_NODES - 1))
-        nodes[[0, -1]] = a, b
-        self.delta = Chebyshev.fit(nodes, discriminant_batch(V, nodes),
-                                   _MODEL_NODES - 1, domain=[a, b])
-        self._slope = self.delta.deriv()
-        self.model_error = float(np.sum(np.abs(self.delta.coef[-2:])))
+        nodes[:, [0, -1]] = np.hstack((a, b))
+        models = [Chebyshev.fit(x, y, _MODEL_NODES - 1, domain=x[[0, -1]])
+                  for x, y in zip(nodes, discriminant_batch(V, nodes))]
+        self.model_error = tuple(float(np.sum(np.abs(m.coef[-2:]))) for m in models)
+        # (coefficient, Delta or Delta', band, 1), Delta' with a top 0
+        self._coef = np.array([(m.coef, np.append(m.deriv().coef, 0.0))
+                               for m in models]).T[..., None]
+        self._off, self._scl = np.array([m.mapparms() for m in models]).T[..., None]
         # Delta(alpha) = -Delta(beta): +1 on odd bands, where Delta falls,
         # -1 on even ones, where it rises
-        self._w_alpha = 1.0 if band.index % 2 else -1.0
+        self._w_alpha = np.array([[1.0 if x.index % 2 else -1.0] for x in self.bands])
         # k rises from ~0 at alpha to ~pi at beta on every band
-        self._table = np.linspace(a, b, _TABLE_CELLS + 1)
-        self._k = self._angle(self.delta(self._table))
+        self._table = np.linspace(a[:, 0], b[:, 0], _TABLE_CELLS + 1, axis=1)
+        self._k = np.arccos(np.clip(self._w_alpha * self.delta(self._table), -1.0, 1.0))
 
-    def _angle(self, w):
-        return np.arccos(np.clip(self._w_alpha * w, -1.0, 1.0))
+    def delta(self, lam):
+        """Each band's model of Delta at its row of lam, shape (bands, ...)."""
+        lam = np.asarray(lam, dtype=float)
+        x = self._off + self._scl * lam.reshape(len(self.bands), -1)
+        return _clenshaw(self._coef[:, 0], x).reshape(lam.shape)
+
+    @property
+    def chunk(self) -> int:
+        """Targets per pass of a call, at least one."""
+        return max(1, _INVERT_CHUNK // len(self.bands))
 
     def __call__(self, w):
-        """Invert an array of targets in [-1, 1]; returns lambdas in the band."""
+        """Invert an array of targets in [-1, 1] on every band; returns the
+        lambdas, shape (bands, *w.shape), row k in band k."""
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        if np.any(w < -1.0 - 1e-12) or np.any(w > 1.0 + 1e-12):
+        if not np.all(np.abs(w) <= 1.0 + 1e-12):  # NaN fails it too
             raise DomainError("discriminant target outside [-1, 1]")
-        flat = w.ravel()
-        lam = np.empty(flat.shape)
-        for i in range(0, flat.size, _INVERT_CHUNK):
-            lam[i:i + _INVERT_CHUNK] = self._invert(flat[i:i + _INVERT_CHUNK])
-        return lam.reshape(w.shape)
+        flat, step = w.ravel(), self.chunk
+        lam = np.empty((len(self.bands), flat.size))
+        for i in range(0, flat.size, step):
+            lam[:, i:i + step] = self._invert(flat[i:i + step])
+        return lam.reshape(len(self.bands), *w.shape)
 
     def _invert(self, w):
-        """Invert a 1-D chunk of targets checked to lie in [-1, 1]."""
+        """Invert a 1-D chunk of targets checked to lie in [-1, 1], one row
+        per band, in place where it can, which bounds the pass's arrays."""
         w = np.clip(w, -1.0, 1.0)
-        k = self._angle(w)
-        cell = np.clip(np.searchsorted(self._k, k, side="right") - 1, 0, _TABLE_CELLS - 1)
-        lo, hi = self._table[cell], self._table[cell + 1]
-        k0, k1 = self._k[cell], self._k[cell + 1]
+        k = np.arccos(self._w_alpha * w)
+        cell = np.clip([np.searchsorted(t, r, side="right") for t, r in zip(self._k, k)],
+                       1, _TABLE_CELLS) - 1
+        lo, k0 = (np.take_along_axis(a, cell, axis=1) for a in (self._table, self._k))
+        hi, k1 = (np.take_along_axis(a, cell + 1, axis=1) for a in (self._table, self._k))
         # on a band a few ulp wide, table nodes repeat and a cell is flat
         # (k1 = k0): it seeds its low end
         lam = lo + np.clip(np.divide(k - k0, k1 - k0, out=np.zeros_like(k), where=k1 != k0),
                            0.0, 1.0) * (hi - lo)
+        del k, k0, k1, cell
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_NEWTON_STEPS):
-                f = self.delta(lam) - w
+                f, step = _clenshaw(self._coef, self._off + self._scl * lam)
+                f -= w
                 root_above = self._w_alpha * f > 0.0
-                lo, hi = np.where(root_above, lam, lo), np.where(root_above, hi, lam)
-                step = lam - f / self._slope(lam)
+                np.copyto(lo, lam, where=root_above)
+                np.copyto(hi, lam, where=~root_above)
+                np.subtract(lam, np.divide(f, step, out=step), out=step)
                 lam = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+                del f, step
         # Delta = +-1 at the edges by definition; at a closed gap, where
         # Delta' = 0, a model error of 1e-15 would move that crossing by 1e-7
         at_edge = [w == self._w_alpha, w == -self._w_alpha]
-        return np.select(at_edge, [self.band.alpha, self.band.beta], lam)
+        return np.select(at_edge, list(self._ends), lam)

@@ -7,7 +7,7 @@ import pytest
 
 from hexspec import graph, hill
 from hexspec.errors import DomainError
-from hexspec.flux import Flux, reduced_fractions
+from hexspec.flux import Flux, mirror_numerator, reduced_fractions
 from hexspec.graph import butterfly, dirac_points, graph_spectrum
 from hexspec.hill import discriminant_batch
 from hexspec.intervals import BandList
@@ -212,7 +212,7 @@ def test_graph_spectrum_inverts_once_per_flux_and_band(monkeypatch):
     graph._hill_side.cache_clear()
     for q in range(11, 31):
         graph_spectrum(VM, Flux.rational(1, q), 3)
-    assert len(calls) == 20 * 3 + 3
+    assert len(calls) == 20 + 1
 
 
 @pytest.mark.parametrize("V", [V0, VM], ids=["zero", "mathieu:20"])
@@ -226,19 +226,49 @@ def test_mirror_columns_are_equal_bit_for_bit(V):
 
 
 def test_pullback_inverts_the_q_band_ends_of_each_mirror_pair_once(monkeypatch):
-    targets = []
+    # one inverter call per block of whole mirror pairs, in the order they
+    # first appear; a block is as many pairs as fit in an eighth of all the
+    # ends, clipped to between a quarter pass and a pass of chunk // 2 ends
+    # (2 bands), so that the next pair would not.  The chunks give the
+    # quarter pass (2^15, 2^13), the eighth (2000) and the pass (1000)
+    calls = []
     invert = hill.BandInverter.__call__
 
     def counted(self, w):
-        targets.append(np.shape(w))
+        calls.append(w)
         return invert(self, w)
 
     butterfly(V0, 30, 2)  # the Hill side, its Dirac inversions included, is cached
     monkeypatch.setattr(hill.BandInverter, "__call__", counted)
-    butterfly(V0, 30, 2)
-    pairs = {(min(p, q - p), q) for p, q in reduced_fractions(30)}
-    ends = sum(len(q_spectrum(rational_spectrum(p, q)).bands) for p, q in pairs)
-    assert len(pairs) == 140 and targets == [(ends, 2)] * 2
+    pairs = dict.fromkeys((mirror_numerator(p, q), q) for p, q in reduced_fractions(30))
+    ends = [q_spectrum(rational_spectrum(p, q)).bands.endpoints() for p, q in pairs]
+    sizes = np.array([e.size for e in ends])
+    assert len(pairs) == 140
+    for chunk in (hill._INVERT_CHUNK, 2**13, 2000, 1000):
+        calls.clear()
+        monkeypatch.setattr(hill, "_INVERT_CHUNK", chunk)
+        butterfly(V0, 30, 2)
+        assert np.concatenate(calls).ravel().tolist() == np.concatenate(ends).tolist()
+        # each call ends where a pair does, and the next pair would not fit
+        last = np.searchsorted(np.cumsum(sizes), np.cumsum([c.size for c in calls]))
+        assert np.cumsum(sizes)[last].tolist() == np.cumsum([c.size for c in calls]).tolist()
+        size = np.clip(sizes.sum() // 8, chunk // 8, chunk // 2)
+        assert max(c.size for c in calls) <= size
+        for call, nxt in zip(calls, sizes[last[:-1] + 1]):
+            assert size < call.size + nxt
+
+
+@pytest.mark.parametrize("V", [V0, VM], ids=["zero", "mathieu:20"])
+@pytest.mark.parametrize("chunk", [3 * 5, 3 * 40])
+def test_pullback_blocks_leave_every_bit(monkeypatch, V, chunk):
+    # blocks of whole mirror pairs of a few ends each (one pair a block at
+    # 5 ends, several small pairs at 40) give the rows and the residuals of
+    # one block, bit for bit
+    whole = butterfly(V, 12, 3)
+    monkeypatch.setattr(hill, "_INVERT_CHUNK", chunk)
+    blocked = butterfly(V, 12, 3)
+    assert blocked.rows.tolist() == whole.rows.tolist()
+    assert blocked.inverter_residual == whole.inverter_residual
 
 
 def test_butterfly_threaded_is_deterministic():

@@ -5,6 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial import Chebyshev
 
 from hexspec import graph, hill, loops, verify
 from hexspec.errors import DomainError
@@ -479,9 +480,8 @@ def test_invert_discriminant_rejects_outside_range():
 
 def test_band_inverter_matches_bisection():
     band = hill_bands_first_n(VM, 1)[0]
-    inv = BandInverter(VM, band)
     ws = np.linspace(-1.0, 1.0, 21)
-    fast = inv(ws)
+    fast = BandInverter(VM, [band])(ws)[0]
     slow = invert_discriminant_on_band(VM, band, ws)
     assert np.max(np.abs(fast - slow)) < 1e-8
 
@@ -493,7 +493,7 @@ def test_band_inverter_maps_edge_values_to_edges():
     for V, n in ((V0, 5), (VM, 3)):
         for band in hill_bands_first_n(V, n):
             w = discriminant_batch(V, [band.alpha, band.beta])
-            got = BandInverter(V, band)(w)
+            got = BandInverter(V, [band])(w)[0]
             assert np.max(np.abs(got - [band.alpha, band.beta])) < 1e-5
 
 
@@ -502,35 +502,70 @@ def test_band_inverter_maps_unit_targets_to_edges_exactly():
     # of the model there would move the crossing of +-1 by ~1e-7
     for V, n in ((V0, 5), (VM, 3)):
         for band in hill_bands_first_n(V, n):
-            got = BandInverter(V, band)([1.0, -1.0])
+            got = BandInverter(V, [band])([1.0, -1.0])[0]
             ends = [band.alpha, band.beta]
             assert got.tolist() == (ends if band.index % 2 else ends[::-1])
 
 
 def test_band_inverter_builds_from_one_kernel_call(rk4_calls):
-    band = hill_bands_first_n(VM, 2)[1]
-    rk4_calls.clear()
-    inv = BandInverter(VM, band)
-    assert rk4_calls == [32]
-    inv(np.linspace(-1.0, 1.0, 101))
-    assert rk4_calls == [32]
+    for n in (1, 3):
+        bands = hill_bands_first_n(VM, n)
+        rk4_calls.clear()
+        inv = BandInverter(VM, bands)
+        assert rk4_calls == [32 * n]
+        inv(np.linspace(-1.0, 1.0, 101))
+        assert rk4_calls == [32 * n]
 
 
 @pytest.mark.parametrize("V,n", [(V0, 5), (VM, 3), (_double_well(), 3)])
 def test_band_inverter_is_right_inverse(V, n):
     ws = np.linspace(-0.999, 0.999, 201)
-    for band in hill_bands_first_n(V, n):
-        lams = BandInverter(V, band)(ws)
-        assert np.max(np.abs(discriminant_batch(V, lams) - ws)) <= 1e-10
+    lams = BandInverter(V, hill_bands_first_n(V, n))(ws)
+    assert np.max(np.abs(discriminant_batch(V, lams) - ws)) <= 1e-10
 
 
 def test_band_inverter_is_independent_of_batch():
-    for band in hill_bands_first_n(VM, 2):
-        inv = BandInverter(VM, band)
-        ws = np.concatenate([[-1.0, 1.0, 0.0], np.linspace(-0.99999, 0.99999, 97)])
-        lams = inv(ws)
-        assert [inv(w)[0] for w in ws] == lams.tolist()
-        assert inv(ws[::-1]).tolist() == lams[::-1].tolist()
+    inv = BandInverter(VM, hill_bands_first_n(VM, 2))
+    ws = np.concatenate([[-1.0, 1.0, 0.0], np.linspace(-0.99999, 0.99999, 97)])
+    lams = inv(ws)
+    assert np.stack([inv(w)[:, 0] for w in ws], axis=1).tolist() == lams.tolist()
+    assert inv(ws[::-1]).tolist() == lams[:, ::-1].tolist()
+
+
+@pytest.mark.parametrize("V,n", [(V0, 5), (VM, 3), (_double_well(), 3)])
+def test_band_inverter_rows_do_not_depend_on_the_other_bands(V, n):
+    bands = hill_bands_first_n(V, n)
+    ws = np.concatenate([[-1.0, 1.0, 0.0], np.linspace(-0.99999, 0.99999, 97)])
+    lams = BandInverter(V, bands)(ws)
+    for k, band in enumerate(bands):
+        assert BandInverter(V, [band])(ws)[0].tolist() == lams[k].tolist()
+    assert BandInverter(V, bands[::-1])(ws).tolist() == lams[::-1].tolist()
+
+
+@pytest.mark.parametrize("V,n", [(V0, 5), (VM, 3), (_double_well(), 3)])
+def test_band_inverter_stack_is_the_chebyshev_models_bit_for_bit(V, n):
+    # Delta and Delta' from the one Clenshaw pass over the stacked
+    # coefficients are numpy's Chebyshev.fit and its .deriv(), band by band
+    bands = hill_bands_first_n(V, n)
+    inv = BandInverter(V, bands)
+    lams = np.array([np.linspace(b.alpha, b.beta, 301) for b in bands])
+    delta, slope = hill._clenshaw(inv._coef, inv._off + inv._scl * lams)
+    assert inv.delta(lams).tolist() == delta.tolist()
+    for k, b in enumerate(bands):
+        nodes = 0.5 * (b.alpha + b.beta) - 0.5 * (b.beta - b.alpha) * np.cos(
+            np.pi * np.arange(32) / 31)
+        nodes[[0, -1]] = b.alpha, b.beta
+        model = Chebyshev.fit(nodes, discriminant_batch(V, nodes), 31, domain=[b.alpha, b.beta])
+        assert delta[k].tolist() == model(lams[k]).tolist()
+        assert slope[k].tolist() == model.deriv()(lams[k]).tolist()
+        assert inv.model_error[k] == float(np.sum(np.abs(model.coef[-2:])))
+
+
+@pytest.mark.parametrize("w", [np.nan, 1.5, -1.0 - 1e-9])
+def test_band_inverter_rejects_targets_outside_the_range(w):
+    # NaN fails both comparisons of a range check written as two rejections
+    with pytest.raises(DomainError):
+        BandInverter(V0, hill_bands_first_n(V0, 1))([w, 0.5])
 
 
 @pytest.mark.parametrize("A", [1400, 1500, 1600, 1700])
@@ -541,23 +576,24 @@ def test_band_inverter_seeds_from_flat_cells(A):
     band = hill_bands_first_n(V, 1)[0]
     with warnings.catch_warnings():  # the model's fit is ill-conditioned here
         warnings.simplefilter("ignore", np.exceptions.RankWarning)
-        inv = BandInverter(V, band)
+        inv = BandInverter(V, [band])
     ws = np.concatenate([q_spectrum(rational_spectrum(p, q)).bands.endpoints()
                          for p, q in reduced_fractions(20)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lams = inv(ws)
+        lams = inv(ws)[0]
     assert np.all((band.alpha <= lams) & (lams <= band.beta))
 
 
 def test_band_inverter_chunks_leave_every_bit(monkeypatch):
-    # a call inverts its targets in chunks of _INVERT_CHUNK; chunks of 7
-    # split this (50, 2) batch across rows and must give the same bits
-    band = hill_bands_first_n(VM, 1)[0]
-    inv = BandInverter(VM, band)
+    # a call inverts its targets in chunks of _INVERT_CHUNK // bands; chunks
+    # of 7 // 3 = 2 split this (50, 2) batch across rows, and with fewer
+    # targets than bands a chunk still holds one target
+    inv = BandInverter(VM, hill_bands_first_n(VM, 3))
     ws = np.linspace(-1.0, 1.0, 100).reshape(50, 2)
     whole = inv(ws)
-    monkeypatch.setattr(hill, "_INVERT_CHUNK", 7)
-    chunked = inv(ws)
-    assert chunked.shape == (50, 2)
-    assert chunked.tolist() == whole.tolist()
+    for chunk in (7, 2):
+        monkeypatch.setattr(hill, "_INVERT_CHUNK", chunk)
+        chunked = inv(ws)
+        assert chunked.shape == (3, 50, 2)
+        assert chunked.tolist() == whole.tolist()
