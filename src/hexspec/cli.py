@@ -27,7 +27,7 @@ from .potentials import parse_potential
 # butterfly rows per SVG write: a chunk's coordinate list and its string peak
 # at about 250 bytes per row, 4 MB here
 _SVG_CHUNK = 16384
-# energies per lyapunov scan: ~130 bytes and ~1.2 ms each, 20 minutes at the bound
+# energies per lyapunov scan: ~130 bytes and ~1.0 ms each, 18 minutes at the bound
 LAMBDAS_MAX = 2 ** 20
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,16 +60,33 @@ class CoverEstimate:
     bound: float
 
 
+# One exponent takes at most 7 convergents: their denominators grow at least
+# as fast as the Fibonacci numbers, so q_{k+7} >= 21 q_k, and its window
+# max_n/16 <= q <= max_n spans a factor of 16.  64 entries hold those of the
+# last 9 energies, so the epsilons of an acceleration, or of a sweep in
+# epsilon, share one product per convergent; an energy scan, which never comes
+# back to an energy, keeps no more than 64 small tuples.
+_GQ_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_GQ_CACHE_SIZE)
+def _gq_scaled(lam: float, p: int, q: int):
+    """G_q(lam) = tr D_q(1/(4q)) at flux p/q as a mantissa times e^ls: the
+    part of _rational_le that does not depend on epsilon."""
+    a, _, _, d, ls = _d_product(lam, 1.0 / (4.0 * q), p / q, q, renorm=True)
+    return a + d, float(ls)
+
+
 def _rational_le(lam: float, p: int, q: int, eps: float, m: int) -> float:
     """Exact exponent at flux p/q, theta shifted by i*eps: (1/q) E_x log rho on
     m midpoint nodes, rho the spectral radius of tr = G_q - 2cos 2 pi z, det =
     2 - 2(-1)^q cos 2 pi z at z = x + i q eps (Chambers).  G_q = tr D_q(1/(4q))
     comes as a mantissa times e^ls, and e^-k scales every term against overflow."""
-    a, _, _, d, ls = _d_product(lam, 1.0 / (4.0 * q), p / q, q, renorm=True)
-    k = max(float(ls), 2.0 * math.pi * q * abs(eps))
+    g, ls = _gq_scaled(float(lam), p, q)
+    k = max(ls, 2.0 * math.pi * q * abs(eps))
     z = (np.arange(m) + 0.5) / m + 1j * q * eps
     two_cos = np.exp(2j * np.pi * z - k) + np.exp(-2j * np.pi * z - k)
-    tr = (a + d) * math.exp(ls - k) - two_cos
+    tr = g * math.exp(ls - k) - two_cos
     det = 2.0 * math.exp(-2.0 * k) - (-1) ** q * math.exp(-k) * two_cos
     s = np.sqrt(tr * tr - 4.0 * det)
     rho = 0.5 * np.maximum(np.abs(tr + s), np.abs(tr - s))

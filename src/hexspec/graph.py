@@ -71,7 +71,9 @@ def _graph(inverter, fracs: list[tuple[int, int]]):
     n = len(inverter.bands)
     fcounts = counts[pair]
     rows = np.recarray(n * fcounts.sum(), formats="i4,i4,i2,f8,f8", names="p,q,hill_band,lo,hi")
-    rows.p, rows.q = np.repeat(np.reshape(fracs, (-1, 2)), n * fcounts, axis=0).T
+    # p and q one int32 column at a time: 4 bytes per row beside the rows
+    for name, col in zip(("p", "q"), np.reshape(np.asarray(fracs, dtype=np.int32), (-1, 2)).T):
+        rows[name] = np.repeat(col, n * fcounts)
     # flux f's rows are n runs of fcounts[f], one per band, from n * fstart[f];
     # w holds the ends pair by pair, pair p's in rows pstart[p] to pend[p]
     fstart = np.cumsum(fcounts) - fcounts

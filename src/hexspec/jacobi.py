@@ -14,9 +14,10 @@ from .flux import Flux, check_reduced, mirror_numerator
 from .intervals import BandList
 
 # The largest q for which a Sigma solve or a q-factor transfer product is built.
-# Both hold O(q) arrays, ~120 bytes per q at the peak (tracemalloc, q = 2^12 to
-# 2^15): 0.5 GB at 2^22.  A larger request, granted by Linux's heuristic
-# overcommit on an 8 GB machine, got the process killed instead of an error.
+# Both hold O(q) arrays at their peak (tracemalloc, q = 2^12 to 2^15): ~120 bytes
+# per q for a Sigma solve and at most ~115 for a product, 0.5 GB at 2^22.  A
+# larger request, granted by Linux's heuristic overcommit on an 8 GB machine,
+# got the process killed instead of an error.
 # Time binds first: a Sigma solve is O(q^2), 0.63, 2.5, 9.9 s at q = 4096, 8192, 16384.
 Q_MAX = 2 ** 22
 
@@ -38,10 +39,13 @@ def _d_product(lam, theta, alpha: float, n: int, renorm: bool = False):
     The coupling is written as the analytic continuation
     -cbar(theta - alpha) = -(1 + e^{2 pi i (theta - alpha)}), so theta may be
     complex.  The n factors are multiplied by a pairwise tree, each later one
-    times the earlier, odd levels padded with the identity; memory is linear
-    in n, at most ~135 bytes per step and batch element.  With renorm, each
-    product of a level is divided by its Frobenius norm, and the log scale
-    sums their logs; otherwise it stays zero.
+    times the earlier, odd levels padded with the identity.  The first level
+    is built from the three nonzero entries of the factors, and each level
+    is one (2, 2, k, *shape) stack of its k products, so the next level is 3
+    array operations.  Memory is linear in n: at most ~105 bytes per step and
+    batch element at even n from 2^12 to 2^15, ~115 at odd n (tracemalloc).
+    With renorm, each product of a level is divided by its Frobenius norm,
+    and the log scale sums their logs; otherwise it stays zero.
     """
     if n > Q_MAX:
         raise DomainError(f"q = {n} is above the bound Q_MAX = {Q_MAX}")
@@ -50,22 +54,43 @@ def _d_product(lam, theta, alpha: float, n: int, renorm: bool = False):
     if n == 0:
         return (*(np.full(shape, v, dtype=complex) for v in (1, 0, 0, 1)), log_scale)
     th = theta + np.arange(n).reshape((n,) + (1,) * len(shape)) * alpha
-    m = [np.broadcast_to(e, (n,) + shape) for e in (
+    f = [np.broadcast_to(e, (n,) + shape) for e in (
         lam - 2.0 * np.cos(2.0 * np.pi * th),
         -(1.0 + np.exp(2j * np.pi * (th - alpha))),
         1.0 + np.exp(-2j * np.pi * th),
         0j)]
-    while len(m[0]) > 1:
-        if len(m[0]) % 2:
-            m = [np.concatenate((e, np.full((1,) + shape, v)))
-                 for e, v in zip(m, (1.0, 0.0, 0.0, 1.0))]
-        (xa, xb, xc, xd), (ya, yb, yc, yd) = ([e[k::2] for e in m] for k in (0, 1))
-        m = [ya * xa + yb * xc, ya * xb + yb * xd, yc * xa + yd * xc, yc * xb + yd * xd]
+    del th
+    if n == 1:
+        return (*(np.asarray(e[0], dtype=complex) for e in f), log_scale)
+    if n % 2:
+        f = [np.concatenate((e, np.full((1,) + shape, v)))
+             for e, v in zip(f, (1.0, 0.0, 0.0, 1.0))]
+    (xa, xb, xc, xd), (ya, yb, yc, yd) = ([e[k::2] for e in f] for k in (0, 1))
+    m = np.empty((2, 2, len(xa)) + shape, dtype=complex)
+    m[0, 0] = ya * xa + yb * xc
+    m[0, 1] = ya * xb + yb * xd
+    m[1, 0] = yc * xa + yd * xc
+    m[1, 1] = yc * xb + yd * xd
+    del f, xa, xb, xc, xd, ya, yb, yc, yd  # free the factors before the next level
+    eye = np.zeros((2, 2, 1) + shape)
+    eye[0, 0] = eye[1, 1] = 1.0
+    while True:
         if renorm:
-            nrm = np.maximum(np.sqrt(sum(np.abs(e) ** 2 for e in m)), 1e-300)
+            # summed as (|a|^2 + |b|^2) + |c|^2 + |d|^2: another order moves the
+            # last bits, which tests/d_product_bits.json pins
+            s = np.abs(m)
+            np.square(s, out=s)
+            nrm = np.maximum(np.sqrt(s[0, 0] + s[0, 1] + s[1, 0] + s[1, 1]), 1e-300)
+            del s
             log_scale += np.log(nrm).sum(axis=0)
-            m = [e / nrm for e in m]
-    return (*(np.asarray(e[0], dtype=complex) for e in m), log_scale)
+            m /= nrm
+        if m.shape[2] == 1:
+            return (*(np.asarray(m[i, j, 0]) for i in (0, 1) for j in (0, 1)), log_scale)
+        if m.shape[2] % 2:
+            m = np.concatenate((m, eye), axis=2)
+        x, y = m[:, :, 0::2], m[:, :, 1::2]
+        m = y[:, 0, None] * x[None, 0]
+        m += y[:, 1, None] * x[None, 1]
 
 
 def transfer_D_product(lam: float, theta: float, flux: Flux, n: int) -> np.ndarray:
@@ -79,13 +104,18 @@ def chambers_Gq(lam, p: int, q: int, theta0: float | None = None):
 
     tr(D_q(theta)) = -2 cos(2 pi q theta) + G_q(lambda); we evaluate at
     theta0 = 1/(4q), which stays away from the decoupling lattice and from
-    the extremizers of the trace.
+    the extremizers of the trace.  At the Dirac energy lam = -3, the bottom
+    of every Sigma_{p/q}, G_q is the end of I_q that Chambers makes exact:
+    -3 for odd q and 3 for even q.  The product there loses up to 1e-5 of
+    G_q to cancellation, and its imaginary part would fail the check below.
     """
     check_reduced(p, q)
     if theta0 is None:
         theta0 = 1.0 / (4.0 * q)
-    a, _, _, d, _ = _d_product(np.asarray(lam, dtype=complex), theta0, p / q, q)
+    lam = np.asarray(lam, dtype=complex)
+    a, _, _, d, _ = _d_product(lam, theta0, p / q, q)
     g = a + d + 2.0 * math.cos(2.0 * math.pi * q * theta0)
+    g = np.where(lam == -3.0, -3.0 if q % 2 else 3.0, g)
     g = np.real_if_close(g, tol=1e6)
     if np.iscomplexobj(g) and np.max(np.abs(np.imag(g))) > 1e-8 * (1 + np.max(np.abs(g))):
         raise ConsistencyError("Chambers polynomial came out complex")

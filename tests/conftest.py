@@ -1,3 +1,7 @@
+import pytest
+
+from hexspec import dynamics
+
 ACCEPTANCE_RESULTS = []
 
 
@@ -16,3 +20,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             f"[{status}] criterion {number:2d} ({desc}): {detail} "
             f"[{seconds:.2f}s]"
         )
+
+
+@pytest.fixture
+def d_product_calls(monkeypatch):
+    """Records the length n of every transfer product that `dynamics` makes.
+    The cache of G_q is cleared first, so the counts do not depend on the
+    tests run before."""
+    calls = []
+    product = dynamics._d_product
+    dynamics._gq_scaled.cache_clear()
+
+    def counted(lam, theta, alpha, n, renorm=False):
+        calls.append(n)
+        return product(lam, theta, alpha, n, renorm)
+
+    monkeypatch.setattr(dynamics, "_d_product", counted)
+    return calls

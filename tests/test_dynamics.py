@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexspec import dynamics
 from hexspec.dynamics import (
     THETA_SAMPLES_MAX,
     CocycleConfig,
@@ -203,6 +204,31 @@ def test_acceleration_quantization():
 def test_acceleration_rejects_zero_epsilon():
     with pytest.raises(DomainError):
         acceleration(0.0, GOLD, 0.0)
+
+
+ACCELERATION_EPSILONS = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
+
+
+def test_accelerations_at_one_energy_make_one_product_per_convergent(d_product_calls):
+    # every exponent of the six accelerations (two each) stops at the
+    # convergents 987/1597 and 1597/2584, whose G_q does not depend on epsilon
+    for eps in ACCELERATION_EPSILONS:
+        acceleration(0.0, GOLD, eps)
+    assert d_product_calls == [1597, 2584]
+
+
+def test_the_g_q_cache_leaves_every_bit(d_product_calls):
+    cases = [(lam, eps) for lam in (0.0, -3.0, 1.7) for eps in (0.0, 0.5, -1.0)]
+    cold = []
+    for lam, eps in cases:
+        dynamics._gq_scaled.cache_clear()
+        cold.append(complexified_le(lam, GOLD, eps).value)
+    for lam, eps in cases:
+        complexified_le(lam, GOLD, eps)
+    made = len(d_product_calls)
+    warm = [complexified_le(lam, GOLD, eps).value for lam, eps in cases]
+    assert warm == cold
+    assert len(d_product_calls) == made  # the warm pass made no product
 
 
 def test_irrational_cover_contains_inflated_spectrum():

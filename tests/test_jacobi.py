@@ -1,5 +1,8 @@
 import cmath
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +111,21 @@ def test_chambers_theta_independence():
         base = chambers_Gq(2.2, p, q)
         other = chambers_Gq(2.2, p, q, theta0=1.0 / (4 * q) + 0.137)
         assert abs(base - other) <= 1e-10 * (1.0 + abs(base))
+
+
+@pytest.mark.parametrize("p, q, want", [(377, 610, 3.0), (610, 987, -3.0)])
+def test_chambers_gq_at_the_dirac_energy_of_a_long_product(p, q, want):
+    # the product's rounding at lam = -3 failed the imaginary-part check here
+    assert chambers_Gq(-3.0, p, q) == want
+
+
+def test_chambers_gq_is_the_end_of_i_q_at_the_dirac_energy():
+    for p, q in reduced_fractions(60):
+        for theta0 in (None, 0.3):
+            assert chambers_Gq(-3.0, p, q, theta0) == (-3.0 if q % 2 else 3.0)
+    # in a batch only the Dirac energy is pinned
+    got = chambers_Gq(np.array([-3.0, 0.5, -2.9]), 2, 7)
+    assert got[0] == -3.0 and list(got[1:]) == [chambers_Gq(0.5, 2, 7), chambers_Gq(-2.9, 2, 7)]
 
 
 def test_build_Mq_q1():
@@ -319,6 +337,55 @@ def test_d_product_tree_matches_the_sequential_product(lam, theta, n):
             if n == 0:
                 # the empty product is the identity, exactly
                 assert np.all(g == w)
+
+
+# Bit pins of the pairwise tree, captured from its four-list form (numpy 2.4.6,
+# x86-64): any change in the order of a product's multiplications or of the
+# renormalising sum changes them.  The energies sit at band centres of Sigma_{987/1597} and
+# Sigma_{1597/2584}, where the unnormalised product at that q stays finite:
+# (one energy, an energy batch, the energy of the complex-angle batch).
+_PIN_FLUX = {1597: (987, (-2.3754046886200326, [-2.9999999620537103, -0.37425202442807254,
+                                                  3.1397256108904648], -2.983676447201537)),
+             2584: (1597, (-2.79872649205244, [-2.999999989111017, -2.3623696869354065,
+                                                3.139726438906796], -2.995361769029083))}
+_PIN_FILE = Path(__file__).with_name("d_product_bits.json")
+
+
+def _d_product_bits(kind, n, renorm):
+    """float.hex of every float _d_product returns: each entry's (real,
+    imaginary) pairs over the batch, entry by entry, then the log scales.
+    The flux is 1597/2584 at n = 2584 and 987/1597 otherwise."""
+    q = 2584 if n == 2584 else 1597
+    p, (lam, lams, lam_theta) = _PIN_FLUX[q]
+    lam, theta = {"scalar": (lam, 0.13),
+                  "lambda-batch": (np.array(lams), 0.19),
+                  "complex-theta-batch": (lam_theta, np.array([0.21 + 1e-5j, 0.37 - 2e-5j]))}[kind]
+    *entries, log_scale = jacobi._d_product(lam, theta, p / q, n, renorm=renorm)
+    floats = np.concatenate([np.ravel(e).view(float) for e in entries] + [np.ravel(log_scale)])
+    return [float.hex(float(x)) for x in floats]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "lambda-batch", "complex-theta-batch"])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1597, 2584])
+@pytest.mark.parametrize("renorm", [False, True])
+def test_d_product_keeps_its_pinned_bits(kind, n, renorm):
+    key = f"{kind} n={n} renorm={int(renorm)}"
+    assert _d_product_bits(kind, n, renorm) == json.loads(_PIN_FILE.read_text())[key]
+
+
+@pytest.mark.parametrize("n", [2 ** 14, 2 ** 15])
+def test_d_product_memory_is_linear_in_n(n):
+    # peak bytes per step and batch element, measured: 88 to 100 with one
+    # energy and one angle, 97 to 98 with 8 complex angles
+    for lam, theta in ((0.3, 0.01), (-3.0, np.arange(8) / 13 + 0.05j)):
+        size = n * np.broadcast(lam, theta).size
+        tracemalloc.start()
+        try:
+            jacobi._d_product(lam, theta, 0.618, n, renorm=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 120 * size
 
 
 def test_stacked_blocks_match_per_entry_construction():
