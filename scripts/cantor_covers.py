@@ -25,7 +25,8 @@ def main() -> int:
     ap.add_argument("--alpha", default="golden")
     ap.add_argument("--levels", type=int, default=9)
     ap.add_argument("--c2", type=float, default=None,
-                    help="Holder constant; default 1.5 x max probed ratio")
+                    help="Holder constant C2 of the cover radius C2 |alpha - p_n/q_n|^(1/2), "
+                         "alpha the flux quantum; default 1.5 x max holder_probe ratio")
     args = ap.parse_args()
 
     try:

@@ -25,7 +25,9 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=2 ** 14,
                     help="largest convergent denominator q")
     ap.add_argument("--cover-level", type=int, default=8)
-    ap.add_argument("--c2", type=float, default=2.0)
+    ap.add_argument("--c2", type=float, default=2.0,
+                    help="Holder constant C2 of the cover radius C2 |alpha - p/q|^(1/2), "
+                         "alpha the flux quantum")
     args = ap.parse_args()
 
     try:

@@ -155,20 +155,17 @@ def irrational_cover(alpha: float, n: int, holder_constant: float) -> CoverEstim
                          intervals=cover, bound=bound)
 
 
-def holder_probe(flux1: Flux, flux2: Flux) -> dict:
-    """One-sided Hausdorff distance (over the edges of the first) between two
-    exactly computed rational spectra, and its ratio to |Phi1 - Phi2|^(1/2)."""
-    if not (flux1.is_rational and flux2.is_rational):
-        raise DomainError("holder_probe needs two rational fluxes")
-    s1, s2 = (rational_spectrum(f.p, f.q) for f in (flux1, flux2))
-    sup = float(np.max(s2.distance(s1.endpoints()), initial=0.0))
-    dphi = abs(flux1.phi - flux2.phi)
-    return {
-        "flux1": str(flux1),
-        "flux2": str(flux2),
-        "sup_onesided_distance": sup,
-        "ratio": sup / math.sqrt(dphi) if dphi > 0 else 0.0,
-    }
+def holder_probe(a: tuple[int, int], b: tuple[int, int]) -> float:
+    """sup over Sigma_a of the distance to Sigma_b, over |p_a/q_a - p_b/q_b|^(1/2):
+    the alpha-unit ratio that irrational_cover's radius C2 |alpha - p/q|^(1/2)
+    bounds.  The sup sits at an edge of Sigma_a or at the midpoint of a gap of
+    Sigma_b inside Sigma_a, so only those O(q) points are measured."""
+    s1, s2 = rational_spectrum(*a), rational_spectrum(*b)
+    m = s2.merged()
+    mids = 0.5 * (m.hi[:-1] + m.lo[1:])
+    pts = np.concatenate((s1.endpoints(), mids[s1.distance(mids) == 0.0]))
+    dalpha = abs(a[0] / a[1] - b[0] / b[1])
+    return float(np.max(s2.distance(pts))) / math.sqrt(dalpha) if dalpha > 0 else 0.0
 
 
 def fitted_holder_constant(convergents) -> float:
@@ -176,5 +173,4 @@ def fitted_holder_constant(convergents) -> float:
     holder_probe ratio over the pairs of consecutive ones from n = 2 on."""
     if len(convergents) < 4:
         raise DomainError(f"fitting C2 needs 4 convergents, got {len(convergents)}")
-    return 1.5 * max(holder_probe(Flux.rational(*a), Flux.rational(*b))["ratio"]
-                     for a, b in zip(convergents[2:], convergents[3:]))
+    return 1.5 * max(holder_probe(a, b) for a, b in zip(convergents[2:], convergents[3:]))

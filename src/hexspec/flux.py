@@ -82,10 +82,6 @@ class Flux:
             return self.p / self.q
         return self.value
 
-    @property
-    def phi(self) -> float:
-        return 2.0 * math.pi * self.alpha
-
     def __str__(self) -> str:
         if self.is_rational:
             return f"{self.p}/{self.q}"

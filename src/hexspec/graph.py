@@ -28,11 +28,14 @@ from .qlambda import q_spectrum
 class GraphSpectrum:
     """Spectral content of one Hill band at one rational flux."""
 
-    hill_band_index: int
     hill_band: HillBand
     continuous_bands: BandList
     dirichlet_points: tuple[float, ...]
     dirac_point: float
+
+    @property
+    def hill_band_index(self) -> int:
+        return self.hill_band.index
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +139,13 @@ def graph_spectrum(
     """Continuous graph bands per Hill band at rational flux, with the band's
     Dirichlet edge eigenvalues and Dirac point attached."""
     if not flux.is_rational:
-        raise DomainError("graph_spectrum needs rational flux; use dynamics "
-                          "covers for irrational flux")
+        raise DomainError(f"graph_spectrum needs a rational flux, got {flux}: write it "
+                          "as p/q, or use dynamics covers for irrational flux")
     bands, inverter, _, dir_edges, diracs = _hill_side(V, n_bands)
     rows, _ = _graph(inverter, [(flux.p, flux.q)])
     per_band = zip(bands, np.split(rows, n_bands), dir_edges, diracs)
-    return [GraphSpectrum(k, band, BandList(r.lo, r.hi), dirs, dirac)
-            for k, (band, r, dirs, dirac) in enumerate(per_band, start=1)]
+    return [GraphSpectrum(band, BandList(r.lo, r.hi), dirs, dirac)
+            for band, r, dirs, dirac in per_band]
 
 
 def dirac_points(V: PotentialSpec, n_bands: int) -> list[float]:

@@ -176,10 +176,7 @@ def test_criterion_8_cantor_trend():
         assert conv[-1] == (55, 89)
         measures = [rational_spectrum(p, q).measure for p, q in conv]
         decreasing = all(a > b for a, b in zip(measures, measures[1:]))
-        ratios = [
-            holder_probe(Flux.rational(*a), Flux.rational(*b))["ratio"]
-            for a, b in zip(conv[2:], conv[3:])
-        ]
+        ratios = [holder_probe(a, b) for a, b in zip(conv[2:], conv[3:])]
         c2 = 1.5 * max(ratios)
         covers = [irrational_cover(GOLDEN_MEAN, n, c2) for n in range(len(conv))]
         c_hat = max(c.intervals.measure * c.q_n for c in covers)

@@ -33,6 +33,14 @@ def test_bands_bad_flux_exit_code():
     assert rc == 1
 
 
+def test_bands_decimal_flux_names_it_and_asks_for_p_over_q(capsys):
+    # 0.5 is exactly 1/2, but a decimal flux is real: the hint names it
+    assert main(["bands", "--flux", "0.5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: graph_spectrum needs a rational flux, got 0.5: write it as p/q, "
+        "or use dynamics covers for irrational flux\n")
+
+
 def test_bands_non_numeric_potential_file(tmp_path, capsys):
     bad = tmp_path / "v.txt"
     bad.write_text("0.0\nnp.float64(1.0)\n0.0\n")

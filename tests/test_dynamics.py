@@ -249,28 +249,53 @@ def test_cover_measures_shrink():
 
 
 def test_holder_probe_identical_fluxes():
-    rep = holder_probe(Flux.rational(1, 2), Flux.rational(1, 2))
-    assert rep["sup_onesided_distance"] == 0.0
+    assert holder_probe((1, 2), (1, 2)) == 0.0
+
+
+def test_holder_probe_rejects_an_unreduced_pair():
+    with pytest.raises(DomainError, match="not reduced"):
+        holder_probe((2, 4), (1, 2))
 
 
 def test_holder_probe_crude_bound():
-    rep = holder_probe(Flux.rational(0, 1), Flux.rational(1, 2))
-    assert rep["sup_onesided_distance"] <= 3.0
+    assert holder_probe((0, 1), (1, 2)) * math.sqrt(0.5) <= 3.0
 
 
 def test_holder_ratio_bounded_along_fibonacci():
     conv = GOLD.convergents
-    ratios = []
-    for (p1, q1), (p2, q2) in zip(conv[2:9], conv[3:10]):
-        rep = holder_probe(Flux.rational(p1, q1), Flux.rational(p2, q2))
-        ratios.append(rep["ratio"])
-    assert max(ratios) < 2.0  # single constant across the scale sweep
+    ratios = [holder_probe(a, b) for a, b in zip(conv[2:9], conv[3:10])]
+    # single constant across the scale sweep, in alpha units
+    assert max(ratios) < 2.0 * math.sqrt(2 * math.pi)
+
+
+def test_holder_probe_measures_gaps_inside_bands():
+    # a gap of Sigma_{13/21} inside a band of Sigma_{8/13}: its midpoint is
+    # 0.04236 from Sigma_{13/21}, every edge of Sigma_{8/13} at most 0.0388
+    a, b = (8, 13), (13, 21)
+    sup = holder_probe(a, b) * math.sqrt(abs(8 / 13 - 13 / 21))
+    assert sup == pytest.approx(0.0423589, abs=1e-7)
+    # the distance is 1-Lipschitz: a grid of Sigma_a bounds the sup within a half step
+    s1, s2 = rational_spectrum(*a), rational_spectrum(*b)
+    grid = [np.linspace(lo, hi, 4097) for lo, hi in zip(s1.lo, s1.hi)]
+    step = max(g[1] - g[0] for g in grid)
+    sampled = float(np.max(s2.distance(np.concatenate(grid))))
+    assert sampled <= sup <= sampled + 0.5 * step
+
+
+def test_fitted_holder_constant_is_the_cover_radius_constant():
+    # the fit and irrational_cover share the alpha unit: for every pair the fit
+    # saw, Sigma_a lies within C2 |p1/q1 - p2/q2|^(1/2) of Sigma_b
+    conv = GOLD.convergents[:9]
+    c2 = fitted_holder_constant(conv)
+    assert c2 == 4.917902546068291
+    for a, b in zip(conv[2:], conv[3:]):
+        radius = c2 * math.sqrt(abs(a[0] / a[1] - b[0] / b[1]))
+        assert rational_spectrum(*b).inflated(radius).covers(rational_spectrum(*a)), (a, b)
 
 
 def test_fitted_holder_constant_is_the_criterion_8_fit():
     conv = GOLD.convergents[:10]
-    ratios = [holder_probe(Flux.rational(*a), Flux.rational(*b))["ratio"]
-              for a, b in zip(conv[2:], conv[3:])]
+    ratios = [holder_probe(a, b) for a, b in zip(conv[2:], conv[3:])]
     assert fitted_holder_constant(conv) == 1.5 * max(ratios)
     with pytest.raises(DomainError, match="4 convergents"):
         fitted_holder_constant(conv[:3])

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 from hexspec.dynamics import holder_probe, irrational_cover
-from hexspec.flux import GOLDEN_MEAN, Flux, golden_flux
+from hexspec.flux import GOLDEN_MEAN, golden_flux
 from hexspec.jacobi import rational_spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,8 +19,7 @@ def test_cantor_covers_levels_9():
         env=ENV, capture_output=True, text=True, timeout=120, check=True)
     # criterion 8's fit and covers, printed as the script prints them
     conv = golden_flux().convergents[:10]
-    c2 = 1.5 * max(holder_probe(Flux.rational(*a), Flux.rational(*b))["ratio"]
-                   for a, b in zip(conv[2:], conv[3:]))
+    c2 = 1.5 * max(holder_probe(a, b) for a, b in zip(conv[2:], conv[3:]))
     covers = [irrational_cover(GOLDEN_MEAN, n, c2) for n in range(10)]
     want = []
     for c, nxt in zip(covers, covers[1:] + [None]):
