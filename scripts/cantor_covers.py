@@ -26,7 +26,7 @@ def main() -> int:
     ap.add_argument("--levels", type=int, default=9)
     ap.add_argument("--c2", type=float, default=None,
                     help="Holder constant C2 of the cover radius C2 |alpha - p_n/q_n|^(1/2), "
-                         "alpha the flux quantum; default 1.5 x max holder_probe ratio")
+                         "alpha the flux quantum; default 1.5 x max holder_probe ratio either way")
     args = ap.parse_args()
 
     try:

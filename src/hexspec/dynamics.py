@@ -170,7 +170,9 @@ def holder_probe(a: tuple[int, int], b: tuple[int, int]) -> float:
 
 def fitted_holder_constant(convergents) -> float:
     """Hölder constant C2 fitted on convergents p_n/q_n: 1.5 times the largest
-    holder_probe ratio over the pairs of consecutive ones from n = 2 on."""
+    holder_probe ratio over the pairs of consecutive ones from n = 2 on, both
+    ways, as the cover's containment needs the finer Sigma near the coarser."""
     if len(convergents) < 4:
         raise DomainError(f"fitting C2 needs 4 convergents, got {len(convergents)}")
-    return 1.5 * max(holder_probe(a, b) for a, b in zip(convergents[2:], convergents[3:]))
+    return 1.5 * max(max(holder_probe(a, b), holder_probe(b, a))
+                     for a, b in zip(convergents[2:], convergents[3:]))

@@ -55,61 +55,57 @@ class ButterflyDataset:
     inverter_residual: tuple[float, ...]
 
 
-def _graph(inverter, fracs: list[tuple[int, int]]):
-    """Pull Sigma_{p/q} back through Delta into every Hill band for each
-    (p, q) of fracs: the inverter takes the Q-band ends of whole mirror pairs
-    in blocks of at most one pass, all bands in one call.
-    Flux p/q and its mirror (q - p)/q share Sigma, so only one flux of each
-    pair is pulled back and its rows are copied to the other; the inverter
-    gives a target the same bits in any batch, so the copy is what a second
-    inversion would give.  Returns the read-only rows (p, q, hill_band, lo,
-    hi), flux by flux in the order of fracs, then by band, then by (lo, hi),
-    and per band the model residual max |Delta(lambda) - w| over the ends."""
-    pairs: dict[tuple[int, int], int] = {}
-    pair = np.array([pairs.setdefault((mirror_numerator(p, q), q), len(pairs))
-                     for p, q in fracs])
-    qbands = [q_spectrum(rational_spectrum(p, q)).bands for p, q in pairs]
+def _pullback(inverter, qbands: list[BandList], use, tags):
+    """Pull sets of Q-bands back through Delta into every Hill band: output
+    column c is set qbands[use[c]], its rows tagged tags[c] = (p, q).  The
+    inverter takes the ends of each set once, whole sets in blocks of at most
+    one pass, all bands in one call; it gives a target the same bits in any
+    batch, so columns that share a set are equal bit for bit.  Returns the
+    read-only rows (p, q, hill_band, lo, hi), column by column in the order
+    of use, then by band, then by (lo, hi), and per band the model residual
+    max |Delta(lambda) - w| over the ends."""
+    use = np.asarray(use)
     counts = np.array([len(b) for b in qbands])
     w = np.concatenate([np.stack((b.lo, b.hi), axis=1) for b in qbands])
     n = len(inverter.bands)
-    fcounts = counts[pair]
-    rows = np.recarray(n * fcounts.sum(), formats="i4,i4,i2,f8,f8", names="p,q,hill_band,lo,hi")
+    ccounts = counts[use]
+    rows = np.recarray(n * ccounts.sum(), formats="i4,i4,i2,f8,f8", names="p,q,hill_band,lo,hi")
     # p and q one int32 column at a time: 4 bytes per row beside the rows
-    for name, col in zip(("p", "q"), np.reshape(np.asarray(fracs, dtype=np.int32), (-1, 2)).T):
-        rows[name] = np.repeat(col, n * fcounts)
-    # flux f's rows are n runs of fcounts[f], one per band, from n * fstart[f];
-    # w holds the ends pair by pair, pair p's in rows pstart[p] to pend[p]
-    fstart = np.cumsum(fcounts) - fcounts
-    pend = np.cumsum(counts)
-    pstart = pend - counts
-    by_pair = np.repeat(np.arange(len(counts)), counts)
-    # blocks of as many whole pairs (at least one) as fit in an eighth of all
+    for name, col in zip(("p", "q"), np.reshape(np.asarray(tags, dtype=np.int32), (-1, 2)).T):
+        rows[name] = np.repeat(col, n * ccounts)
+    # column c's rows are n runs of ccounts[c], one per band, from n * cstart[c];
+    # w holds the ends set by set, set s's in rows sstart[s] to sstop[s]
+    cstart = np.cumsum(ccounts) - ccounts
+    sstop = np.cumsum(counts)
+    sstart = sstop - counts
+    by_set = np.repeat(np.arange(len(counts)), counts)
+    # blocks of as many whole sets (at least one) as fit in an eighth of all
     # the ends, but in no less than a quarter of one pass of the inverter and
     # no more than one: a block's working set, some 15 arrays of its size,
     # then follows the rows of small calls, and large ones use whole passes.
-    # by_pair is the sort's first key, so a block's sort is one of all's
+    # by_set is the sort's first key, so a block's sort is one of all's
     size = np.clip(len(w) // 4, inverter.chunk // 4, inverter.chunk)  # ends
     cuts = [0]
     while cuts[-1] < len(counts):
-        fit = np.searchsorted(pend, pstart[cuts[-1]] + size // 2, "right")
+        fit = np.searchsorted(sstop, sstart[cuts[-1]] + size // 2, "right")
         cuts.append(max(cuts[-1] + 1, fit))
     residual = np.zeros(n)
-    for p0, p1 in zip(cuts, cuts[1:]):
-        e0, e1 = pstart[p0], pend[p1 - 1]
+    for s0, s1 in zip(cuts, cuts[1:]):
+        e0, e1 = sstart[s0], sstop[s1 - 1]
         lams = inverter(w[e0:e1])
         error = np.abs(inverter.delta(lams) - w[e0:e1])
         residual = np.maximum(residual, error.max(axis=(1, 2)))
         # the image of [w1, w2] is [min, max] of its ends' images, whichever way
         # Delta runs, also where rounding swaps the images of a point band's ends
         lams.sort(axis=2)
-        # the block's fluxes f: end j of f is row pstart[pair[f]] + j of w
-        f = np.flatnonzero((p0 <= pair) & (pair < p1))
-        fc = fcounts[f]
-        j = np.arange(fc.sum()) - np.repeat(np.cumsum(fc) - fc, fc)
-        src = np.repeat(pstart[pair[f]] - e0, fc) + j
+        # the block's columns c: end j of c is row sstart[use[c]] + j of w
+        c = np.flatnonzero((s0 <= use) & (use < s1))
+        cc = ccounts[c]
+        j = np.arange(cc.sum()) - np.repeat(np.cumsum(cc) - cc, cc)
+        src = np.repeat(sstart[use[c]] - e0, cc) + j
         for k, lam in enumerate(lams):
-            order = np.lexsort((lam[:, 1], lam[:, 0], by_pair[e0:e1]))
-            dest = np.repeat(n * fstart[f] + k * fc, fc) + j
+            order = np.lexsort((lam[:, 1], lam[:, 0], by_set[e0:e1]))
+            dest = np.repeat(n * cstart[c] + k * cc, cc) + j
             rows.hill_band[dest] = k + 1
             rows.lo[dest], rows.hi[dest] = lam[order[src]].T
     rows.flags.writeable = False
@@ -142,7 +138,8 @@ def graph_spectrum(
         raise DomainError(f"graph_spectrum needs a rational flux, got {flux}: write it "
                           "as p/q, or use dynamics covers for irrational flux")
     bands, inverter, _, dir_edges, diracs = _hill_side(V, n_bands)
-    rows, _ = _graph(inverter, [(flux.p, flux.q)])
+    qbands = q_spectrum(rational_spectrum(flux.p, flux.q)).bands
+    rows, _ = _pullback(inverter, [qbands], [0], [(flux.p, flux.q)])
     per_band = zip(bands, np.split(rows, n_bands), dir_edges, diracs)
     return [GraphSpectrum(band, BandList(r.lo, r.hi), dirs, dirac)
             for band, r, dirs, dirac in per_band]
@@ -162,17 +159,20 @@ def butterfly(
 
     The discriminant inversions of all Hill bands are batched through one
     inverter, a Chebyshev model of Delta per band built from 32 energies of
-    each, called once per block of mirror pairs, so the Hill side costs one
-    small integration plus cheap eigensolves per flux.
-    Sigma_{p/q} = Sigma_{(q-p)/q}, so one flux of each mirror pair is solved
-    and pulled back, and the columns (p, q, k) and (q - p, q, k) are equal
-    bit for bit.  `threads` is accepted for compatibility and ignored: the
-    fluxes run in one thread.
+    each, so the Hill side costs one small integration plus cheap eigensolves
+    per flux.  Flux p/q and its mirror (q - p)/q share Sigma, so each pair is
+    solved once and its Q-bands are one set of the pull-back: the columns
+    (p, q, k) and (q - p, q, k) are equal bit for bit.  `threads` is
+    accepted for compatibility and ignored: the fluxes run in one thread.
     """
     if q_max < 1:
         raise DomainError(f"q_max must be >= 1, got {q_max}")
     _, inverter, dir_lines, _, _ = _hill_side(V, n_bands)
-    rows, residuals = _graph(inverter, reduced_fractions(q_max))
+    fracs = reduced_fractions(q_max)
+    pairs: dict[tuple[int, int], int] = {}
+    use = [pairs.setdefault((mirror_numerator(p, q), q), len(pairs)) for p, q in fracs]
+    qbands = [q_spectrum(rational_spectrum(p, q)).bands for p, q in pairs]
+    rows, residuals = _pullback(inverter, qbands, use, fracs)
     return ButterflyDataset(
         rows=rows,
         dirichlet_lines=dir_lines,

@@ -19,10 +19,6 @@ class QSpectrum:
 
     bands: BandList
 
-    @property
-    def measure(self) -> float:
-        return self.bands.measure
-
 
 def q_spectrum(sigma_phi: BandList) -> QSpectrum:
     """Map the reduced spectrum through x -> sqrt(x/9 + 1/3) and reflect.

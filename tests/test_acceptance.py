@@ -111,7 +111,7 @@ def test_criterion_4_measure_bounds():
         for p, q in reduced_fractions(50):
             sigma = rational_spectrum(p, q)
             worst_sigma = max(worst_sigma, sigma.measure * 3 * q / (16 * math.pi))
-            qm = q_spectrum(sigma).measure
+            qm = q_spectrum(sigma).bands.measure
             worst_q = max(worst_q, qm * 9 * math.sqrt(q) / (8 * math.sqrt(6 * math.pi)))
         r.detail = (f"max Sigma-measure/bound = {worst_sigma:.3f}, "
                     f"max Q-measure/bound = {worst_q:.3f}")

@@ -294,8 +294,26 @@ def test_fitted_holder_constant_is_the_cover_radius_constant():
 
 
 def test_fitted_holder_constant_is_the_criterion_8_fit():
+    # criterion 8 fits the forward ratios; at golden flux the largest ratio
+    # either way is the forward one at 2/3 -> 3/5
     conv = GOLD.convergents[:10]
     ratios = [holder_probe(a, b) for a, b in zip(conv[2:], conv[3:])]
-    assert fitted_holder_constant(conv) == 1.5 * max(ratios)
+    reverse = [holder_probe(b, a) for a, b in zip(conv[2:], conv[3:])]
+    assert fitted_holder_constant(conv) == 1.5 * max(ratios + reverse) == 1.5 * max(ratios)
     with pytest.raises(DomainError, match="4 convergents"):
         fitted_holder_constant(conv[:3])
+
+
+@pytest.mark.parametrize("alpha, fit", [(GOLDEN_MEAN, 4.917902546068291),
+                                        (math.e - 2, 4.347322539383656),
+                                        (1 / math.sqrt(3), 2.1694195297164676)],
+                         ids=["golden", "e-2", "1/sqrt3"])
+def test_fitted_holder_constant_bounds_the_direction_the_cover_needs(alpha, fit):
+    # Sigma_alpha in S_n needs the finer Sigma near the coarser one, the
+    # probe's (finer, coarser) ratio; at e - 2 the largest is that of
+    # 3/4 -> 5/7, 2.898 against 2.208 the other way
+    conv = [c for c in continued_fraction(alpha) if c[1] <= 3000]
+    c2 = fitted_holder_constant(conv)
+    assert c2 == pytest.approx(fit, rel=1e-9)
+    for a, b in zip(conv[2:], conv[3:]):
+        assert c2 >= 1.5 * holder_probe(b, a), (a, b)

@@ -271,5 +271,44 @@ def test_pullback_blocks_leave_every_bit(monkeypatch, V, chunk):
     assert blocked.inverter_residual == whole.inverter_residual
 
 
+@pytest.mark.parametrize("V", [V0, VM], ids=["zero", "mathieu:20"])
+def test_pullback_of_the_whole_q_range_is_each_hill_band(V):
+    # Delta = +-1 lands on the inverter's own band edges, whichever way Delta runs
+    bands, inverter, *_ = graph._hill_side(V, 3)
+    rows, _ = graph._pullback(inverter, [BandList([-1.0], [1.0])], [0], [(0, 1)])
+    assert [(r.lo, r.hi) for r in rows] == [(b.alpha, b.beta) for b in bands]
+
+
+@pytest.mark.parametrize("V", [V0, VM], ids=["zero", "mathieu:20"])
+def test_pullback_of_zero_is_the_dirac_points(V):
+    _, inverter, *_ = graph._hill_side(V, 3)
+    rows, _ = graph._pullback(inverter, [BandList([0.0], [0.0])], [0], [(0, 1)])
+    assert rows.lo.tolist() == rows.hi.tolist() == dirac_points(V, 3)
+
+
+def test_pullback_inverts_a_shared_set_once_and_copies_its_rows(monkeypatch):
+    # sets that no p/q gives, and nothing in the pull-back solves Sigma
+    calls = []
+    invert = hill.BandInverter.__call__
+
+    def counted(self, w):
+        calls.append(w)
+        return invert(self, w)
+
+    def unsolved(*args):
+        raise AssertionError("the pull-back maps no p/q to bands")
+
+    _, inverter, *_ = graph._hill_side(VM, 2)
+    sets = [BandList([-0.9, 0.1], [-0.2, 0.8]), BandList([-0.5], [0.5])]
+    monkeypatch.setattr(hill.BandInverter, "__call__", counted)
+    monkeypatch.setattr(graph, "rational_spectrum", unsolved)
+    monkeypatch.setattr(graph, "q_spectrum", unsolved)
+    rows, _ = graph._pullback(inverter, sets, [0, 1, 0], [(1, 3), (2, 5), (2, 3)])
+    assert np.concatenate(calls).ravel().tolist() == [-0.9, -0.2, 0.1, 0.8, -0.5, 0.5]
+    assert rows[["p", "q"]].tolist() == [(1, 3)] * 4 + [(2, 5)] * 2 + [(2, 3)] * 4
+    assert np.array_equal(rows[:4][["hill_band", "lo", "hi"]],
+                          rows[6:][["hill_band", "lo", "hi"]])
+
+
 def test_butterfly_threaded_is_deterministic():
     assert np.array_equal(butterfly(V0, 4, 1, threads=4).rows, butterfly(V0, 4, 1).rows)

@@ -80,7 +80,7 @@ def test_q_measure_bound():
         for p in range(q):
             if math.gcd(p, q) != 1:
                 continue
-            m = q_spectrum(rational_spectrum(p, q)).measure
+            m = q_spectrum(rational_spectrum(p, q)).bands.measure
             assert m <= 8.0 * math.sqrt(6.0 * math.pi) / (9.0 * math.sqrt(q)) + 1e-12
 
 
